@@ -1,5 +1,6 @@
 """Task streams, incremental training, masked losses, and forgetting metrics."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,14 @@ from iemf.training import OptimConfig
 GOLDEN_MATRIX = [[0.5833333333333334],
                  [0.6666666666666666, 0.16666666666666666],
                  [0.5833333333333334, 0.16666666666666666, 0.08333333333333333]]
+# SHA-256 of the (s_unimodal, s_multimodal, xi) trace and of the final
+# parameters (sorted by id), little-endian float64, for the same 3-task run
+GOLDEN_CONTINUAL = {
+    "lwf": ("4ee6f1eee0485d9318eebcbd8ce74c0c9c573c21db1fa0cb859cf6bbda73f8fb",
+            "10f949bd1f20460b6b96e645b1359fb8aca76fad25ef4416acee13dade1253f8"),
+    "finetune": ("6f455a2543ee496c2d27ad4c06bbd5a641df040350603a37b2d3d4c033d4fccf",
+                 "e7ee4e38fce20bd4cd733ec5e9de09094082d9baa82f012935098b382c38310c"),
+}
 
 
 def small_stream(seed=0, sigma_a=2.0, sigma_v=1.0):
@@ -128,11 +137,24 @@ def test_incremental_frozen_model_repeats_rows():
     assert matrix[2][0] == matrix[1][0] and matrix[2][1] == matrix[1][1]
 
 
+def _sha256_f64(arrays) -> str:
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
 def test_incremental_golden_matrix():
-    _, stream = small_stream()
-    cfg = OptimConfig(eta=1e-2, epochs=3, batch_size=8, seed=0)
-    matrix, _ = train_incremental(stream, "lwf", small_model(), cfg)
-    assert matrix == GOLDEN_MATRIX
+    for method, (xi_digest, param_digest) in GOLDEN_CONTINUAL.items():
+        _, stream = small_stream()
+        cfg = OptimConfig(eta=1e-2, epochs=3, batch_size=8, seed=0)
+        model = small_model()
+        matrix, trace = train_incremental(stream, method, model, cfg)
+        if method == "lwf":
+            assert matrix == GOLDEN_MATRIX
+        assert len(trace) == 27  # 3 tasks x 3 epochs x 3 batches of 8
+        assert _sha256_f64([[(r.s_unimodal, r.s_multimodal, r.xi) for r in trace]]) == xi_digest
+        assert _sha256_f64([model.params[pid] for pid in sorted(model.params)]) == param_digest
 
 
 def test_incremental_modulation_toggle_touches_only_fusion_after_one_step():
