@@ -26,7 +26,6 @@ from .model import (
     ForwardOutputs,
     ModelConfig,
     MultimodalModel,
-    encode,
     forward_full,
     fuse_concat,
     init_model,
@@ -37,10 +36,9 @@ from .modulation import (
     batch_strength_scores,
     iemf_coefficient,
     iemf_train_step,
-    modulated_fusion_update,
     per_sample_content,
 )
-from .neurons import LIFParams, LIFState, lif_sequence, lif_step, relu, surrogate_derivative
+from .neurons import LIFParams, lif_step, relu
 from .tensor import (
     GradientSet,
     Tape,

@@ -12,6 +12,7 @@ efficiency metric.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,11 +46,6 @@ def flatten_params(model: MultimodalModel) -> np.ndarray:
     return np.concatenate([model.params[pid].reshape(-1) for pid, _, _, _ in param_spans(model)])
 
 
-def _write_params(model: MultimodalModel, w: np.ndarray, spans) -> None:
-    for pid, start, stop, shape in spans:
-        model.params[pid] = w[start:stop].reshape(shape).copy()
-
-
 def _as_batch(data) -> Batch:
     return data.train if hasattr(data, "train") else data
 
@@ -57,11 +53,13 @@ def _as_batch(data) -> Batch:
 def model_objective(model: MultimodalModel, data):
     """(loss_fn, grad_fn, w0, spans) for the full training objective on a batch.
 
-    Works on an internal clone, so the caller's model is never touched. The
-    gradient treats the loss as one scalar function of all parameters (probe
-    detachment is lifted): detached heads make the training gradient field
-    non-conservative, which would break Hessian symmetry and exact ascent.
-    The loss values themselves are identical either way.
+    Works on an internal clone, so the caller's model is never touched, and
+    evaluates each point on its own shallow copy of that clone, so threaded
+    landscape cells never share parameters. The gradient treats the loss as
+    one scalar function of all parameters (probe detachment is lifted):
+    detached heads make the training gradient field non-conservative, which
+    would break Hessian symmetry and exact ascent. The loss values themselves
+    are identical either way.
     """
     batch = _as_batch(data)
     work = model.clone()
@@ -69,14 +67,18 @@ def model_objective(model: MultimodalModel, data):
     spans = param_spans(work)
     w0 = flatten_params(work)
 
+    def at(w: np.ndarray) -> MultimodalModel:
+        point = copy.copy(work)
+        point.params = {pid: w[start:stop].reshape(shape).copy()
+                        for pid, start, stop, shape in spans}
+        return point
+
     def loss_fn(w: np.ndarray) -> float:
-        _write_params(work, w, spans)
-        return forward_full(batch, work, tape=None).loss.item()
+        return forward_full(batch, at(w), tape=None).loss.item()
 
     def grad_fn(w: np.ndarray) -> np.ndarray:
-        _write_params(work, w, spans)
         tape = Tape()
-        out = forward_full(batch, work, tape)
+        out = forward_full(batch, at(w), tape)
         grads = backward(tape, out.loss)
         return np.concatenate([grads[pid].data.reshape(-1) for pid, _, _, _ in spans])
 

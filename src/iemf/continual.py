@@ -4,7 +4,10 @@ One shared output layer covers all classes from the start; classes outside the
 allowed set for a loss are masked by adding a large negative constant to their
 logits. Fine-tuning masks to the classes seen so far; the distillation variant
 trains the current task's classes against labels while matching the pre-task
-model's softened fused logits on previously seen classes.
+model's softened fused logits on previously seen classes. Each step is the
+standard modulated step (`modulation.iemf_train_step`) with these criteria in
+place of plain cross entropy, so xi scales the fusion layer's learning rate
+exactly as in standard training.
 """
 
 from __future__ import annotations
@@ -18,14 +21,16 @@ from . import tensor as T
 from .data import Dataset
 from .errors import ConfigError, ContractError
 from .model import Batch, MultimodalModel, network_logits
-from .modulation import (
-    batch_strength_scores,
-    iemf_coefficient,
-    per_sample_content,
-)
-from .tensor import Tape, Tensor, backward
-from .training import OptimConfig, XiRecord, iterate_batches, sgd_step, top1_accuracy
+from .modulation import StrengthScores, iemf_train_step
+from .tensor import Tensor
+from .training import OptimConfig, XiRecord, iterate_batches, top1_accuracy
 from .util import STREAM_TASKS, STREAM_TRAIN, seeded_rng
+
+# Unused here, but bench/spans.py rebinds these attributes of this module by
+# name, so they must stay importable from it.
+from .modulation import batch_strength_scores, iemf_coefficient, per_sample_content  # noqa: F401
+from .tensor import backward  # noqa: F401
+from .training import sgd_step  # noqa: F401
 
 MASK_NEG = -1e30
 CONTINUAL_METHODS = ("finetune", "lwf")
@@ -111,29 +116,28 @@ def lwf_loss(new_logits: Tensor, labels, old_logits: Tensor, current_classes: Se
 
 def _incremental_step(batch: Batch, model: MultimodalModel, cfg: OptimConfig, method: str,
                       ce_classes: Sequence[int], prev_classes: Sequence[int],
-                      old_model: MultimodalModel | None, temperature: float, lam: float):
-    """One training step with masked losses; same modulation path as standard training."""
+                      old_model: MultimodalModel | None, temperature: float,
+                      lam: float) -> StrengthScores:
+    """One modulated step of standard training, with masked criteria.
+
+    The probe heads use cross entropy masked to `ce_classes`, and so does the
+    fused output, except under LwF with earlier classes: there it also
+    distils the pre-task model's fused logits on `prev_classes`.
+    """
     m = model.cfg.n_classes
-    tape = Tape()
-    _, _, logits_av, logits_a, logits_v = network_logits(batch, model, tape)
+
+    def head_loss(logits: Tensor, labels) -> tuple[Tensor, Tensor]:
+        return masked_cross_entropy(logits, labels, ce_classes, m)
+
+    fused_loss = head_loss
     if method == "lwf" and old_model is not None and len(prev_classes) > 0:
         _, _, old_av, _, _ = network_logits(batch, old_model, None)
-        loss_av, p_av = lwf_loss(logits_av, batch.y, old_av, ce_classes, prev_classes,
-                                 temperature, lam, m)
-    else:
-        loss_av, p_av = masked_cross_entropy(logits_av, batch.y, ce_classes, m)
-    loss_a, p_a = masked_cross_entropy(logits_a, batch.y, ce_classes, m)
-    loss_v, p_v = masked_cross_entropy(logits_v, batch.y, ce_classes, m)
-    loss = T.add(loss_av, T.smul(T.add(loss_a, loss_v), 0.5 * model.cfg.head_loss_weight))
 
-    c_a = per_sample_content(p_a, batch.y)
-    c_v = per_sample_content(p_v, batch.y)
-    c_av = per_sample_content(p_av, batch.y)
-    s_unimodal, s_multimodal = batch_strength_scores(c_a, c_v, c_av)
-    xi = iemf_coefficient(s_unimodal, s_multimodal, cfg.iemf) if cfg.iemf.enabled else 1.0
-    grads = backward(tape, loss)
-    sgd_step(model, grads, cfg, xi)
-    return s_unimodal, s_multimodal, xi
+        def fused_loss(logits: Tensor, labels) -> tuple[Tensor, Tensor]:
+            return lwf_loss(logits, labels, old_av, ce_classes, prev_classes, temperature, lam, m)
+
+    scores, _ = iemf_train_step(batch, model, cfg, fused_loss, head_loss)
+    return scores
 
 
 def train_incremental(stream: TaskStream, method: str, model: MultimodalModel,
@@ -162,11 +166,12 @@ def train_incremental(stream: TaskStream, method: str, model: MultimodalModel,
             for idx in iterate_batches(n, cfg.batch_size, perm):
                 batch = task.train.subset(idx)
                 step += 1
-                s_uni, s_multi, xi = _incremental_step(
+                scores = _incremental_step(
                     batch, model, cfg, method, ce_classes, prev_classes,
                     old_model, lwf_temperature, lwf_lambda,
                 )
-                trace.append(XiRecord(step, epoch, s_uni, s_multi, xi))
+                trace.append(XiRecord(step, epoch, scores.s_unimodal, scores.s_multimodal,
+                                      scores.xi))
         row = []
         for j in range(k):
             _, _, logits_av, _, _ = network_logits(stream.tasks[j].test, model, None)

@@ -183,30 +183,6 @@ def _encode_spiking(x: Tensor, layers: list[tuple[Tensor, Tensor]], lif: LIFPara
     return spikes_out
 
 
-def _layer_tensors(model: MultimodalModel, leaves: dict[str, Tensor], modality: str):
-    return [(leaves[w_id], leaves[b_id]) for w_id, b_id in model.encoder_param_ids(modality)]
-
-
-def encode(batch: Batch, model: MultimodalModel, tape: Tape | None = None,
-           leaves: dict[str, Tensor] | None = None) -> tuple[Tensor, Tensor]:
-    """Latent representations of both branches.
-
-    In spiking mode this returns the per-step spike trains averaged over the
-    steps (the firing rates); `forward_full` keeps the per-step trains for the
-    step-wise fusion readout.
-    """
-    if leaves is None:
-        leaves = bind_params(model, tape)
-    _check_input_widths(batch, model.cfg)
-    if model.cfg.neuron_mode == "continuous":
-        z_a = _encode_continuous(batch.x_a, _layer_tensors(model, leaves, "a"))
-        z_v = _encode_continuous(batch.x_v, _layer_tensors(model, leaves, "v"))
-        return z_a, z_v
-    sa = _encode_spiking(batch.x_a, _layer_tensors(model, leaves, "a"), model.cfg.lif)
-    sv = _encode_spiking(batch.x_v, _layer_tensors(model, leaves, "v"), model.cfg.lif)
-    return T.mean_tensors(sa), T.mean_tensors(sv)
-
-
 def fuse_concat(z_a: Tensor, z_v: Tensor, model: MultimodalModel,
                 leaves: dict[str, Tensor] | None = None) -> Tensor:
     """Class logits from the concatenated latents: W_f [z_a ; z_v] + b_f."""
@@ -228,43 +204,47 @@ def _check_input_widths(batch: Batch, cfg: ModelConfig) -> None:
         )
 
 
-def network_logits(batch: Batch, model: MultimodalModel, tape: Tape | None = None,
-                   leaves: dict[str, Tensor] | None = None):
-    """Latents plus the three logit sets (fused, audio probe, visual probe)."""
+def network_logits(batch: Batch, model: MultimodalModel, tape: Tape | None = None):
+    """Latents plus the three logit sets (fused, audio probe, visual probe).
+
+    Each encoder yields one latent per step: a single one in continuous mode,
+    the spike train in spiking mode. The fusion layer and the probe heads read
+    every step and their logits are averaged over the steps; the returned
+    latents are the step averages (the firing rates in spiking mode).
+    """
     cfg = model.cfg
-    if leaves is None:
-        leaves = bind_params(model, tape)
+    leaves = bind_params(model, tape)
     _check_input_widths(batch, cfg)
+
+    def latents(x: Tensor, modality: str) -> list[Tensor]:
+        layers = [(leaves[w_id], leaves[b_id]) for w_id, b_id in model.encoder_param_ids(modality)]
+        if cfg.neuron_mode == "continuous":
+            return [_encode_continuous(x, layers)]
+        return _encode_spiking(x, layers, cfg.lif)
 
     def head(latent: Tensor, name: str) -> Tensor:
         inp = T.detach(latent) if cfg.head_mode == "probe_detached" else latent
         return _affine(inp, leaves[f"{name}.W"], leaves[f"{name}.b"])
 
-    if cfg.neuron_mode == "continuous":
-        z_a = _encode_continuous(batch.x_a, _layer_tensors(model, leaves, "a"))
-        z_v = _encode_continuous(batch.x_v, _layer_tensors(model, leaves, "v"))
-        logits_av = fuse_concat(z_a, z_v, model, leaves)
-        logits_a = head(z_a, "head_a")
-        logits_v = head(z_v, "head_v")
-        return z_a, z_v, logits_av, logits_a, logits_v
-
-    sa = _encode_spiking(batch.x_a, _layer_tensors(model, leaves, "a"), cfg.lif)
-    sv = _encode_spiking(batch.x_v, _layer_tensors(model, leaves, "v"), cfg.lif)
+    sa, sv = latents(batch.x_a, "a"), latents(batch.x_v, "v")
     logits_av = T.mean_tensors([fuse_concat(a, v, model, leaves) for a, v in zip(sa, sv)])
     logits_a = T.mean_tensors([head(s, "head_a") for s in sa])
     logits_v = T.mean_tensors([head(s, "head_v") for s in sv])
     return T.mean_tensors(sa), T.mean_tensors(sv), logits_av, logits_a, logits_v
 
 
-def forward_full(batch: Batch, model: MultimodalModel, tape: Tape | None = None) -> ForwardOutputs:
+def forward_full(batch: Batch, model: MultimodalModel, tape: Tape | None = None,
+                 fused_loss=softmax_cross_entropy, head_loss=softmax_cross_entropy) -> ForwardOutputs:
     """Full pass: latents, three logit sets, probabilities, and the total loss.
 
-    total = CE(fused) + head_loss_weight * (CE(audio head) + CE(visual head)) / 2
+    total = fused_loss(fused) + head_loss_weight * (head_loss(audio) + head_loss(visual)) / 2
+
+    A criterion maps (logits, labels) to (loss, probabilities); both default to
+    plain cross entropy, and continual learning passes masked variants.
     """
-    leaves = bind_params(model, tape)
-    z_a, z_v, logits_av, logits_a, logits_v = network_logits(batch, model, tape, leaves)
-    loss_av, p_av = softmax_cross_entropy(logits_av, batch.y)
-    loss_a, p_a = softmax_cross_entropy(logits_a, batch.y)
-    loss_v, p_v = softmax_cross_entropy(logits_v, batch.y)
+    z_a, z_v, logits_av, logits_a, logits_v = network_logits(batch, model, tape)
+    loss_av, p_av = fused_loss(logits_av, batch.y)
+    loss_a, p_a = head_loss(logits_a, batch.y)
+    loss_v, p_v = head_loss(logits_v, batch.y)
     loss = T.add(loss_av, T.smul(T.add(loss_a, loss_v), 0.5 * model.cfg.head_loss_weight))
     return ForwardOutputs(z_a, z_v, logits_av, logits_a, logits_v, p_av, p_a, p_v, loss)

@@ -22,9 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, NumericError
+from .errors import ConfigError, ContractError
 from .model import Batch, MultimodalModel, forward_full
-from .tensor import GradientSet, Tape, Tensor, backward
+from .tensor import Tape, Tensor, backward, softmax_cross_entropy
 
 log = logging.getLogger(__name__)
 
@@ -112,52 +112,22 @@ def iemf_coefficient(s_unimodal: float, s_multimodal: float, cfg: IEMFConfig) ->
     return cfg.gamma * (1.0 + g)
 
 
-def sgd_delta(w: np.ndarray, g: np.ndarray, lr: float, weight_decay: float) -> np.ndarray:
-    """Plain decoupled step: lr * (g + weight_decay * w)."""
-    return lr * (g + weight_decay * w)
-
-
-def fusion_deltas(model: MultimodalModel, grads: GradientSet, eta: float, xi: float,
-                  weight_decay: float = 0.0) -> dict[str, np.ndarray]:
-    """Staged fusion-layer updates scaled by xi; bias excluded from weight decay."""
-    if not (np.isfinite(eta) and np.isfinite(xi)):
-        raise NumericError("non-finite step size")
-    deltas: dict[str, np.ndarray] = {}
-    lr = eta * xi
-    for pid in ("fusion.W", "fusion.b"):
-        if pid not in grads:
-            raise ContractError(f"gradient set is missing {pid}")
-        wd = weight_decay if pid.endswith(".W") else 0.0
-        delta = sgd_delta(model.params[pid], grads[pid].data, lr, wd)
-        if not np.all(np.isfinite(delta)):
-            raise NumericError(f"non-finite update for {pid}; step aborted")
-        deltas[pid] = delta
-    return deltas
-
-
-def modulated_fusion_update(model: MultimodalModel, grads: GradientSet, eta: float, xi: float,
-                            weight_decay: float = 0.0) -> None:
-    """Apply W_f <- W_f - eta*xi*(grad + wd*W_f) and likewise for the bias.
-
-    The deltas are staged and validated before anything is committed, so a
-    failed update leaves the model untouched.
-    """
-    deltas = fusion_deltas(model, grads, eta, xi, weight_decay)
-    for pid, delta in deltas.items():
-        model.params[pid] = model.params[pid] - delta
-
-
-def iemf_train_step(batch: Batch, model: MultimodalModel, cfg) -> tuple[StrengthScores, StepMetrics]:
+def iemf_train_step(batch: Batch, model: MultimodalModel, cfg,
+                    fused_loss=softmax_cross_entropy,
+                    head_loss=softmax_cross_entropy) -> tuple[StrengthScores, StepMetrics]:
     """One modulated SGD step: forward, scores, coefficient, backward, update.
 
-    With modulation disabled the coefficient is forced to 1 and the update is
-    bit-identical to a vanilla step; the scores are still computed for the
-    trace. Any failure propagates before parameters are modified.
+    The criteria go to `forward_full`; the scores read the probabilities they
+    return, so continual learning's masked losses are scored on the classes
+    they allow. With modulation disabled the coefficient is forced to 1 and
+    the update is bit-identical to a vanilla step; the scores are still
+    computed for the trace. Any failure propagates before parameters are
+    modified.
     """
     from .training import sgd_step, top1_accuracy
 
     tape = Tape()
-    out = forward_full(batch, model, tape)
+    out = forward_full(batch, model, tape, fused_loss, head_loss)
     c_a = per_sample_content(out.p_a, batch.y)
     c_v = per_sample_content(out.p_v, batch.y)
     c_av = per_sample_content(out.p_av, batch.y)

@@ -48,14 +48,6 @@ class LIFParams:
         return 1.0 - 1.0 / self.tau_m
 
 
-@dataclass
-class LIFState:
-    """Per-step membrane potentials and spikes of one layer."""
-
-    u: list[Tensor]
-    s: list[Tensor]
-
-
 def _hat(x: np.ndarray, width: float) -> np.ndarray:
     return np.maximum(0.0, 1.0 - np.abs(x) / width)
 
@@ -77,12 +69,6 @@ def relu(x: Tensor) -> Tensor:
     return T._apply("relu", (T.as_tensor(x),))
 
 
-def surrogate_derivative(u_pre: Tensor, p: LIFParams) -> Tensor:
-    """Hat function max(0, 1 - |u_pre - u_th| / width) used as dH/du."""
-    u_pre = T.as_tensor(u_pre)
-    return Tensor(_hat(u_pre.data - p.u_th, p.surrogate_width))
-
-
 def lif_step(u_prev: Tensor, input_current: Tensor, p: LIFParams) -> tuple[Tensor, Tensor]:
     """One accumulate/fire/reset step; returns (u_next, spike)."""
     u_prev, input_current = T.as_tensor(u_prev), T.as_tensor(input_current)
@@ -95,16 +81,3 @@ def lif_step(u_prev: Tensor, input_current: Tensor, p: LIFParams) -> tuple[Tenso
     keep = T.detach(T.sadd(T.smul(spike, -1.0), 1.0))
     u_next = T.mul(u_pre, keep)
     return u_next, spike
-
-
-def lif_sequence(currents: list[Tensor], p: LIFParams) -> LIFState:
-    """Run one layer over a list of per-step input currents from a zero state."""
-    if len(currents) == 0:
-        raise ShapeError("lif_sequence needs at least one step")
-    u = Tensor(np.zeros_like(T.as_tensor(currents[0]).data))
-    state = LIFState(u=[], s=[])
-    for cur in currents:
-        u, s = lif_step(u, cur, p)
-        state.u.append(u)
-        state.s.append(s)
-    return state

@@ -232,10 +232,13 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def mean_tensors(tensors: Sequence[Tensor]) -> Tensor:
-    """Elementwise mean of same-shaped tensors via an add chain."""
+    """Elementwise mean of same-shaped tensors via an add chain; a single
+    tensor is returned as it is, without a tape node."""
     if len(tensors) == 0:
         raise ShapeError("mean_tensors needs at least one tensor")
     acc = as_tensor(tensors[0])
+    if len(tensors) == 1:
+        return acc
     for t in tensors[1:]:
         acc = add(acc, t)
     return smul(acc, 1.0 / len(tensors))

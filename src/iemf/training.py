@@ -8,12 +8,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericError
 from .model import Batch, MultimodalModel, forward_full
-from .modulation import (
-    IEMFConfig,
-    fusion_deltas,
-    iemf_train_step,
-    sgd_delta,
-)
+from .modulation import IEMFConfig, iemf_train_step
 from .tensor import GradientSet, Tensor
 from .util import STREAM_TRAIN, seeded_rng
 
@@ -75,7 +70,9 @@ def top1_accuracy(logits, labels) -> float:
     return float(np.mean(arr.argmax(axis=-1) == y))
 
 
-def _group_lr(group: str, cfg: OptimConfig) -> float:
+def _group_lr(group: str, cfg: OptimConfig, xi: float) -> float:
+    if group == "fusion":
+        return cfg.eta * xi
     if cfg.method == "mslr":
         if group == "enc_a":
             return cfg.eta * cfg.mult_a
@@ -85,26 +82,23 @@ def _group_lr(group: str, cfg: OptimConfig) -> float:
 
 
 def sgd_step(model: MultimodalModel, grads: GradientSet, cfg: OptimConfig, xi: float = 1.0) -> None:
-    """Per-group SGD step; the fusion layer's gradient is scaled by xi.
+    """Per-group SGD step; the fusion layer's learning rate is eta * xi.
 
     Encoders use eta times their modality multiplier (1 under vanilla), probe
     heads use plain eta, and weight decay applies to weight matrices only.
-    Everything is staged and validated before the commit, so a failed step
-    leaves the model unmodified.
+    Everything is staged and validated before the commit, so a failed step (a
+    missing gradient, or a non-finite update from a non-finite gradient, eta
+    or xi) leaves the model unmodified.
     """
     staged: dict[str, np.ndarray] = {}
     for pid, w in model.params.items():
-        group = model.group_of(pid)
-        if group == "fusion":
-            continue
         if pid not in grads:
             raise NumericError(f"gradient set is missing {pid}; step aborted")
         wd = cfg.weight_decay if pid.endswith(".W") else 0.0
-        delta = sgd_delta(w, grads[pid].data, _group_lr(group, cfg), wd)
+        delta = _group_lr(model.group_of(pid), cfg, xi) * (grads[pid].data + wd * w)
         if not np.all(np.isfinite(delta)):
             raise NumericError(f"non-finite update for {pid}; step aborted")
         staged[pid] = delta
-    staged.update(fusion_deltas(model, grads, cfg.eta, xi, cfg.weight_decay))
     for pid, delta in staged.items():
         model.params[pid] = model.params[pid] - delta
 

@@ -73,9 +73,3 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def csv_line(fields) -> str:
     return ",".join(fmt(f) for f in fields) + "\n"
-
-
-def write_csv(path: str, header, rows) -> None:
-    lines = [csv_line(header)]
-    lines.extend(csv_line(row) for row in rows)
-    atomic_write_text(path, "".join(lines))

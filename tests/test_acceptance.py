@@ -341,9 +341,9 @@ def test_criterion_8_sharpness_direction(default_pairs):
             time.monotonic() - t0 + fixture_time, 180.0)
 
 
-def test_criterion_9_determinism(tmp_path):
+def test_criterion_9_determinism(tmp_path, monkeypatch):
     t0 = time.monotonic()
-    os.environ["IEMF_THREADS"] = "1"
+    monkeypatch.setenv("IEMF_THREADS", "1")
     import json
 
     cfg = {

@@ -9,10 +9,10 @@ from iemf.model import (
     Batch,
     ModelConfig,
     MultimodalModel,
-    encode,
     forward_full,
     fuse_concat,
     init_model,
+    network_logits,
 )
 from iemf.neurons import LIFParams
 from iemf.tensor import Tape, Tensor, backward
@@ -37,11 +37,16 @@ def fixed_batch() -> Batch:
     return Batch(Tensor(x_a), Tensor(x_v), [0, 1])
 
 
+def latents(batch: Batch, model: MultimodalModel):
+    """The two latents: the first outputs of `network_logits`."""
+    return network_logits(batch, model)[:2]
+
+
 def test_zero_weights_give_zero_latents():
     model = small_model()
     for pid in model.params:
         model.params[pid] = np.zeros_like(model.params[pid])
-    z_a, z_v = encode(fixed_batch(), model)
+    z_a, z_v = latents(fixed_batch(), model)
     assert np.array_equal(z_a.data, np.zeros((2, 4)))
     assert np.array_equal(z_v.data, np.zeros((2, 4)))
 
@@ -52,12 +57,12 @@ def test_one_layer_identity_encoder_passes_input_through():
     model.params["enc_a.0.b"] = np.zeros(4)
     batch = Batch(Tensor(np.arange(8, dtype=float).reshape(2, 4) - 3.0),
                   Tensor(np.zeros((2, 4))), [0, 1])
-    z_a, _ = encode(batch, model)
+    z_a, _ = latents(batch, model)
     assert np.array_equal(z_a.data, batch.x_a.data)
 
 
 def test_encode_golden_fixture():
-    z_a, z_v = encode(fixed_batch(), small_model())
+    z_a, z_v = latents(fixed_batch(), small_model())
     assert np.array_equal(z_a.data, np.array(GOLDEN_Z_A))
     assert np.array_equal(z_v.data, np.array(GOLDEN_Z_V))
 

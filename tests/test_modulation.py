@@ -1,4 +1,4 @@
-"""Strength scores, the bounded fusion coefficient, and the modulated update."""
+"""Strength scores, the bounded fusion coefficient, and the modulated update (sgd_step)."""
 
 import logging
 import math
@@ -8,18 +8,17 @@ import pytest
 
 from iemf.data import DataSpec, generate
 from iemf.errors import ConfigError, ContractError, NumericError
-from iemf.model import ModelConfig, init_model
+from iemf.model import ModelConfig, MultimodalModel, init_model
 from iemf.modulation import (
     EPS_DIV,
     IEMFConfig,
     batch_strength_scores,
     iemf_coefficient,
     iemf_train_step,
-    modulated_fusion_update,
     per_sample_content,
 )
 from iemf.tensor import GradientSet, Tensor
-from iemf.training import OptimConfig
+from iemf.training import OptimConfig, sgd_step
 
 # frozen seed-0 one-step regression values (generated once)
 GOLDEN_STEP = dict(loss=3.2032050047817977, xi=1.2575576007470575,
@@ -137,23 +136,26 @@ def small_setup(batch_size=6):
     return ds, model, cfg
 
 
+def zero_grads(model):
+    return GradientSet({pid: Tensor(np.zeros_like(arr)) for pid, arr in model.params.items()})
+
+
 def test_modulated_update_hand_case():
+    """xi multiplies the fusion layer's learning rate and no other group's."""
     _, model, _ = small_setup()
-    model.params["fusion.W"] = np.array([[1.0]])
-    model.params["fusion.b"] = np.array([0.0])
-    grads = GradientSet({"fusion.W": Tensor([[2.0]]), "fusion.b": Tensor([0.0])})
-    modulated_fusion_update(model, grads, eta=0.1, xi=1.5, weight_decay=0.0)
+    model = MultimodalModel(model.cfg, {"fusion.W": [[1.0]], "fusion.b": [0.0],
+                                        "head_a.W": [[1.0]]})
+    grads = GradientSet({"fusion.W": Tensor([[2.0]]), "fusion.b": Tensor([0.0]),
+                         "head_a.W": Tensor([[2.0]])})
+    sgd_step(model, grads, OptimConfig(eta=0.1, weight_decay=0.0), xi=1.5)
     assert abs(model.params["fusion.W"][0, 0] - 0.7) < 1e-15
+    assert abs(model.params["head_a.W"][0, 0] - 0.8) < 1e-15
 
 
 def test_modulated_update_zero_gradient_is_identity():
     _, model, _ = small_setup()
     before = {pid: arr.copy() for pid, arr in model.params.items()}
-    grads = GradientSet({
-        "fusion.W": Tensor(np.zeros_like(model.params["fusion.W"])),
-        "fusion.b": Tensor(np.zeros_like(model.params["fusion.b"])),
-    })
-    modulated_fusion_update(model, grads, eta=0.1, xi=1.7, weight_decay=0.0)
+    sgd_step(model, zero_grads(model), OptimConfig(eta=0.1, weight_decay=0.0), xi=1.7)
     for pid, arr in before.items():
         assert np.array_equal(model.params[pid], arr)
 
@@ -161,24 +163,30 @@ def test_modulated_update_zero_gradient_is_identity():
 def test_modulated_update_xi_one_equals_plain_sgd():
     _, model, _ = small_setup()
     twin = model.clone()
-    gw = np.full_like(model.params["fusion.W"], 0.25)
-    gb = np.full_like(model.params["fusion.b"], -0.5)
-    grads = GradientSet({"fusion.W": Tensor(gw), "fusion.b": Tensor(gb)})
-    modulated_fusion_update(model, grads, eta=0.05, xi=1.0, weight_decay=0.0)
-    assert np.array_equal(model.params["fusion.W"], twin.params["fusion.W"] - 0.05 * gw)
-    assert np.array_equal(model.params["fusion.b"], twin.params["fusion.b"] - 0.05 * gb)
+    grads = GradientSet({
+        pid: Tensor(np.full_like(arr, -0.5 if pid.endswith(".b") else 0.25))
+        for pid, arr in model.params.items()
+    })
+    sgd_step(model, grads, OptimConfig(eta=0.05, weight_decay=0.0), xi=1.0)
+    for pid in model.params:
+        assert np.array_equal(model.params[pid], twin.params[pid] - 0.05 * grads[pid].data), pid
 
 
 def test_modulated_update_missing_or_bad_gradients_abort_cleanly():
     _, model, _ = small_setup()
     before = {pid: arr.copy() for pid, arr in model.params.items()}
-    with pytest.raises(ContractError):
-        modulated_fusion_update(model, GradientSet({}), eta=0.1, xi=1.0)
+    cfg = OptimConfig(eta=0.1)
+    zeros = zero_grads(model)
+    without_fusion = GradientSet({pid: g for pid, g in zeros.items()
+                                  if model.group_of(pid) != "fusion"})
     with pytest.raises(NumericError):
-        modulated_fusion_update(model, GradientSet({
-            "fusion.W": Tensor(np.zeros_like(model.params["fusion.W"])),
-            "fusion.b": Tensor(np.zeros_like(model.params["fusion.b"])),
-        }), eta=float("nan"), xi=1.0)
+        sgd_step(model, GradientSet({}), cfg, xi=1.0)
+    with pytest.raises(NumericError):
+        sgd_step(model, without_fusion, cfg, xi=1.0)
+    with pytest.raises(NumericError):
+        sgd_step(model, zeros, cfg, xi=float("nan"))
+    with pytest.raises(NumericError):
+        sgd_step(model, zeros, OptimConfig(eta=float("inf")), xi=1.0)
     for pid, arr in before.items():
         assert np.array_equal(model.params[pid], arr)
 
@@ -196,7 +204,6 @@ def test_train_step_disabled_matches_vanilla_bitwise():
     # a build without the modulation calls: plain forward/backward/sgd with xi=1
     from iemf.model import forward_full
     from iemf.tensor import Tape, backward
-    from iemf.training import sgd_step
 
     tape = Tape()
     out = forward_full(batch, twin, tape)
@@ -252,9 +259,7 @@ def test_descent_direction_preserved():
     cfg_nowd = OptimConfig(eta=1e-2, weight_decay=0.0, epochs=1, batch_size=6, seed=0)
     scores, _ = iemf_train_step(batch, model.clone(), cfg_nowd)
     stepped = model.clone()
-    from iemf.modulation import modulated_fusion_update as mfu
-
-    mfu(stepped, grads, cfg_nowd.eta, scores.xi, 0.0)
+    sgd_step(stepped, grads, cfg_nowd, scores.xi)
     step = stepped.params["fusion.W"] - before
     raw = grads["fusion.W"].data
     ratio = step[raw != 0.0] / raw[raw != 0.0]

@@ -5,7 +5,7 @@ import pytest
 
 import iemf.tensor as T
 from iemf.errors import ConfigError, ShapeError
-from iemf.neurons import LIFParams, lif_sequence, lif_step, relu, surrogate_derivative
+from iemf.neurons import LIFParams, lif_step, relu
 from iemf.tensor import Tape, Tensor, backward
 
 
@@ -65,34 +65,50 @@ def test_lif_forced_spike_and_reset():
     assert u.data[0] == 0.0
 
 
+def run_lif(currents, p):
+    """Membranes after reset and spikes of one layer driven from a zero state."""
+    u = Tensor(np.zeros_like(currents[0].data))
+    us, spikes = [], []
+    for cur in currents:
+        u, s = lif_step(u, cur, p)
+        us.append(u)
+        spikes.append(s)
+    return us, spikes
+
+
 def test_lif_hand_simulated_sequence():
     # tau=0.5, u_th=0.5, constant drive 0.3: u runs 0.3, 0.45, then crosses at 0.525
     p = LIFParams(u_th=0.5, tau_m=2.0, t_steps=4)
-    state = lif_sequence([Tensor([0.3])] * 4, p)
+    us, spikes = run_lif([Tensor([0.3])] * 4, p)
     pre = [0.3, 0.45, 0.525]
-    assert abs(state.u[0].data[0] - pre[0]) < 1e-15
-    assert abs(state.u[1].data[0] - pre[1]) < 1e-15
-    assert state.s[0].data[0] == 0.0 and state.s[1].data[0] == 0.0
-    assert state.s[2].data[0] == 1.0
-    assert state.u[2].data[0] == 0.0  # reset after the spike
+    assert abs(us[0].data[0] - pre[0]) < 1e-15
+    assert abs(us[1].data[0] - pre[1]) < 1e-15
+    assert spikes[0].data[0] == 0.0 and spikes[1].data[0] == 0.0
+    assert spikes[2].data[0] == 1.0
+    assert us[2].data[0] == 0.0  # reset after the spike
 
 
 def test_spike_binarity_and_reset_invariant():
     rng = np.random.default_rng(4)
     p = LIFParams()
     currents = [Tensor(rng.standard_normal((8, 5))) for _ in range(6)]
-    state = lif_sequence(currents, p)
-    for u, s in zip(state.u, state.s):
+    for u, s in zip(*run_lif(currents, p)):
         assert set(np.unique(s.data)).issubset({0.0, 1.0})
         assert np.array_equal(u.data * s.data, np.zeros_like(u.data))
 
 
 def test_surrogate_derivative_hat():
+    """d spike / d current from a zero membrane is the hat at the current."""
     p = LIFParams(u_th=0.5, surrogate_width=1.0)
-    assert surrogate_derivative(Tensor([0.5]), p).data[0] == 1.0
-    assert surrogate_derivative(Tensor([1.5]), p).data[0] == 0.0
-    assert surrogate_derivative(Tensor([-0.5]), p).data[0] == 0.0
-    assert abs(surrogate_derivative(Tensor([0.75]), p).data[0] - 0.75) < 1e-15
+    currents = np.array([0.5, 1.5, -0.5, 0.75])
+    tape = Tape()
+    x = tape.leaf(currents, param_id="x")
+    _, spike = lif_step(Tensor(np.zeros(4)), x, p)
+    grad = backward(tape, T.sum_all(spike))["x"].data
+    assert grad[0] == 1.0
+    assert grad[1] == 0.0
+    assert grad[2] == 0.0
+    assert abs(grad[3] - 0.75) < 1e-15
 
 
 def test_lif_shape_mismatch():
