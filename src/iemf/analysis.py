@@ -130,7 +130,6 @@ class ContractionReport:
     max_residual: float
     tolerance: float
     step_cases: list[str] = field(repr=False)
-    alpha_trace: np.ndarray = field(repr=False)
     norm_trace: list[float] = field(repr=False)
 
 
@@ -163,7 +162,6 @@ def verify_contraction(problem: QuadraticProblem, steps: int | None = None,
     w = w_star + basis @ alpha
 
     diverged = bool(problem.eta * max(xis) * lam[-1] >= 2.0)
-    traces = [alpha.copy()]
     norms = [float(np.linalg.norm(alpha))]
     cases = []
     max_residual = 0.0
@@ -175,7 +173,6 @@ def verify_contraction(problem: QuadraticProblem, steps: int | None = None,
         max_residual = max(max_residual, float(np.max(np.abs(alpha_next - expected))))
         cases.append("reduced" if xi < 1.0 else ("equal" if xi == 1.0 else "amplified"))
         alpha = alpha_next
-        traces.append(alpha.copy())
         norms.append(float(np.linalg.norm(alpha)))
     passed = bool((not diverged) and max_residual <= tolerance)
     return ContractionReport(
@@ -184,7 +181,6 @@ def verify_contraction(problem: QuadraticProblem, steps: int | None = None,
         max_residual=max_residual,
         tolerance=tolerance,
         step_cases=cases,
-        alpha_trace=np.stack(traces),
         norm_trace=norms,
     )
 

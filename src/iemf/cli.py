@@ -12,15 +12,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict, astuple, fields
 
 from . import analysis, container, continual, data, training
 from .config import ExperimentConfig, load_config
-from .errors import VALIDATION_ERRORS, ConfigError, NumericError
+from .errors import VALIDATION_ERRORS, ConfigError, FormatError, NumericError
 from .model import init_model
+from .training import EpochMetrics, XiRecord
 from .util import atomic_write_text, csv_line, dump_json, fmt
 
-METRICS_HEADER = ("epoch", "train_loss", "train_acc", "test_acc", "mean_xi", "flops_cumulative")
-XI_TRACE_HEADER = ("step", "epoch", "s_unimodal", "s_multimodal", "xi")
+METRICS_HEADER = tuple(f.name for f in fields(EpochMetrics))
+XI_TRACE_HEADER = tuple(f.name for f in fields(XiRecord))
 
 
 def _echo_config(out_dir: str, cfg: ExperimentConfig) -> None:
@@ -49,7 +51,7 @@ def cmd_train(args) -> int:
     out_dir = _require(args.out, "--out", "receive the training outputs")
     dataset = container.load_dataset(data_path)
     _echo_config(out_dir, cfg)
-    model = init_model(cfg.model_config(), cfg.seed)
+    model = init_model(cfg.model, cfg.seed)
 
     metrics_path = os.path.join(out_dir, "metrics.csv")
     trace_path = os.path.join(out_dir, "xi_trace.csv")
@@ -59,11 +61,10 @@ def cmd_train(args) -> int:
         trace_fh.write(csv_line(XI_TRACE_HEADER))
 
         def on_epoch(em, rows):
-            metrics_fh.write(csv_line((em.epoch, em.train_loss, em.train_acc, em.test_acc,
-                                       em.mean_xi, em.flops_cumulative)))
+            metrics_fh.write(csv_line(astuple(em)))
             metrics_fh.flush()
             for r in rows:
-                trace_fh.write(csv_line((r.step, r.epoch, r.s_unimodal, r.s_multimodal, r.xi)))
+                trace_fh.write(csv_line(astuple(r)))
             trace_fh.flush()
 
         model, history, _ = training.train(dataset, model, cfg.optim, on_epoch=on_epoch)
@@ -82,7 +83,7 @@ def cmd_continual(args) -> int:
     _echo_config(out_dir, cfg)
     stream = continual.build_task_stream(dataset, cfg.continual.tasks,
                                          cfg.continual.classes_per_task, cfg.seed)
-    model = init_model(cfg.model_config(), cfg.seed)
+    model = init_model(cfg.model, cfg.seed)
     matrix, trace = continual.train_incremental(
         stream, cfg.continual.method, model, cfg.optim,
         lwf_temperature=cfg.continual.lwf_temperature,
@@ -91,7 +92,7 @@ def cmd_continual(args) -> int:
     lines = [",".join(fmt(a) for a in row) + "\n" for row in matrix]
     atomic_write_text(os.path.join(out_dir, "accuracy_matrix.csv"), "".join(lines))
     trace_lines = [csv_line(XI_TRACE_HEADER)]
-    trace_lines += [csv_line((r.step, r.epoch, r.s_unimodal, r.s_multimodal, r.xi)) for r in trace]
+    trace_lines += [csv_line(astuple(r)) for r in trace]
     atomic_write_text(os.path.join(out_dir, "xi_trace.csv"), "".join(trace_lines))
     aa, aia = continual.aa_aia(matrix)
     metrics = {
@@ -130,15 +131,8 @@ def cmd_analyze(args) -> int:
         )
         report = analysis.verify_contraction(problem, steps=settings.steps,
                                              tolerance=settings.tolerance)
-        payload = {
-            "passed": report.passed,
-            "diverged": report.diverged,
-            "max_residual": report.max_residual,
-            "tolerance": report.tolerance,
-            "step_cases": report.step_cases,
-            "norm_trace": report.norm_trace,
-        }
-        atomic_write_text(os.path.join(out_dir, "contraction_report.json"), dump_json(payload))
+        atomic_write_text(os.path.join(out_dir, "contraction_report.json"),
+                          dump_json(asdict(report)))
         print(f"contraction check {'passed' if report.passed else 'FAILED'} "
               f"(max residual {report.max_residual:.3e})")
         return 0
@@ -151,6 +145,9 @@ def cmd_analyze(args) -> int:
                                      for i, p in enumerate(settings.metrics)]
         if len(labels) != len(settings.metrics):
             raise ConfigError("analysis.cost.labels must match the metrics list")
+        if len(set(labels)) != len(labels):
+            raise ConfigError(f"analysis.cost labels {labels} repeat a name; give each metrics "
+                              "file its own label in analysis.cost.labels")
         curves: dict[str, list[float]] = {}
         omegas: dict[str, float] = {}
         for label, path in zip(labels, settings.metrics):
@@ -160,14 +157,7 @@ def cmd_analyze(args) -> int:
             curves[label] = curve
             omegas[label] = omega
         report = analysis.computational_cost(curves, omegas, settings.thresholds)
-        payload = {
-            "thresholds": report.thresholds,
-            "epochs_to_threshold": report.epochs_to_threshold,
-            "omega": report.omega,
-            "cost": report.cost,
-            "unreached": report.unreached,
-        }
-        atomic_write_text(os.path.join(out_dir, "cost_report.json"), dump_json(payload))
+        atomic_write_text(os.path.join(out_dir, "cost_report.json"), dump_json(asdict(report)))
         for label in labels:
             print(f"cost[{label}] = {report.cost[label]:.6g}")
         return 0
@@ -182,14 +172,7 @@ def cmd_analyze(args) -> int:
         model = _load_checkpoint_at(settings.checkpoint)
         report = analysis.sharpness(model, dataset, settings.ball_radius, settings.n_probes,
                                     settings.ascent_steps, cfg.seed, settings.blocks)
-        payload = {
-            "base_loss": report.base_loss,
-            "increase": report.increase,
-            "n_probes": report.n_probes,
-            "ball_radius": report.ball_radius,
-            "per_probe": report.per_probe,
-        }
-        atomic_write_text(os.path.join(out_dir, "sharpness.json"), dump_json(payload))
+        atomic_write_text(os.path.join(out_dir, "sharpness.json"), dump_json(asdict(report)))
         print(f"sharpness estimate {report.increase:.6g} at radius {report.ball_radius}")
         return 0
 
@@ -211,11 +194,11 @@ def cmd_analyze(args) -> int:
 
 def _read_metrics_curve(path: str) -> tuple[list[float], float]:
     """Error curve (1 - test accuracy) and FLOPs per epoch from a metrics.csv."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        lines = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
     if len(lines) < 2:
         raise ConfigError(f"{path}: metrics file holds no epochs")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     try:
         acc_col = header.index("test_acc")
         flops_col = header.index("flops_cumulative")
@@ -224,11 +207,14 @@ def _read_metrics_curve(path: str) -> tuple[list[float], float]:
         raise ConfigError(f"{path}: metrics file is missing column {exc}") from exc
     errors = []
     omega = None
-    for ln in lines[1:]:
-        fields = ln.split(",")
-        errors.append(1.0 - float(fields[acc_col]))
-        if omega is None:
-            omega = float(fields[flops_col]) / float(fields[epoch_col])
+    for n, ln in lines[1:]:
+        cells = ln.split(",")
+        try:
+            errors.append(1.0 - float(cells[acc_col]))
+            if omega is None:
+                omega = float(cells[flops_col]) / float(cells[epoch_col])
+        except (ValueError, IndexError, ZeroDivisionError) as exc:
+            raise FormatError(f"{path}:{n}: malformed metrics row ({exc})") from exc
     return errors, float(omega)
 
 

@@ -1,39 +1,24 @@
-"""JSON experiment configuration: strict parsing, defaults, and the resolved echo.
+"""JSON experiment configuration: typed parsing, defaults, and the resolved echo.
 
-Every section validates against its module's invariants at load time, before
-any work starts. Unknown keys are rejected. A `--seed` override replaces the
-master seed before section defaults are derived from it, and every command
-writes the fully resolved configuration next to its outputs.
+The dataclasses are the schema: `build` rejects unknown keys, missing fields
+and wrongly typed values by name before any work starts. A `--seed` override
+replaces the master seed before section defaults are derived from it, and
+every command writes the fully resolved configuration next to its outputs.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .data import DataSpec
 from .errors import ConfigError
 from .model import ModelConfig
 from .modulation import IEMFConfig
-from .neurons import LIFParams
 from .training import OptimConfig
-
-
-def _take(section: dict, name: str, allowed: set[str]) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {name!r} section: {sorted(unknown)}")
-
-
-@dataclass
-class ModelSettings:
-    hidden: int = 64
-    latent: int = 32
-    depth: int = 2
-    neuron_mode: str = "continuous"
-    head_mode: str = "probe_detached"
-    head_loss_weight: float = 1.0
-    lif: LIFParams = field(default_factory=LIFParams)
 
 
 @dataclass
@@ -104,112 +89,112 @@ class AnalysisSettings:
 
 @dataclass
 class ExperimentConfig:
+    data: DataSpec
+    model: ModelConfig
+    optim: OptimConfig
     seed: int = 0
     output_dir: str | None = None
-    data: DataSpec = field(default_factory=DataSpec)
-    model: ModelSettings = field(default_factory=ModelSettings)
-    optim: OptimConfig = field(default_factory=OptimConfig)
     continual: ContinualSettings = field(default_factory=ContinualSettings)
     analysis: AnalysisSettings = field(default_factory=AnalysisSettings)
 
     def model_config(self) -> ModelConfig:
-        """Model configuration with widths filled in from the data section."""
-        return ModelConfig(
-            d_in_a=self.data.d_a,
-            d_in_v=self.data.d_v,
-            n_classes=self.data.n_classes,
-            hidden=self.model.hidden,
-            latent=self.model.latent,
-            depth=self.model.depth,
-            neuron_mode=self.model.neuron_mode,
-            lif=self.model.lif,
-            head_mode=self.model.head_mode,
-            head_loss_weight=self.model.head_loss_weight,
-        )
+        # Kept because bench/workloads.py calls it; new code reads `model`.
+        return self.model
 
     def resolved(self) -> dict:
+        """The configuration as it ran; the model widths are echoed under `data`."""
         out = asdict(self)
+        for width in _WIDTHS:
+            del out["model"][width]
         return out
 
 
-def _parse_lif(raw: dict) -> LIFParams:
-    _take(raw, "model.lif", {"u_th", "tau_m", "t_steps", "surrogate_width"})
-    return LIFParams(**raw)
+# Model config field -> data spec field it is filled in from.
+_WIDTHS = {"d_in_a": "d_a", "d_in_v": "d_v", "n_classes": "n_classes"}
 
 
-def _parse_model(raw: dict) -> ModelSettings:
-    _take(raw, "model", {"hidden", "latent", "depth", "neuron_mode", "head_mode",
-                         "head_loss_weight", "lif"})
-    lif = _parse_lif(raw.pop("lif", {}))
-    return ModelSettings(lif=lif, **raw)
+# Field types per dataclass; resolving the annotations costs more than checking a record.
+_type_hints = functools.cache(get_type_hints)
 
 
-def _parse_optim(raw: dict, iemf_raw: dict, seed: int) -> OptimConfig:
-    _take(raw, "optim", {"eta", "weight_decay", "epochs", "batch_size", "seed", "method",
-                         "mslr"})
-    _take(iemf_raw, "iemf", {"enabled", "gamma", "gating"})
-    mslr = raw.pop("mslr", None) or {}
-    _take(mslr, "optim.mslr", {"mult_a", "mult_v"})
-    raw.setdefault("seed", seed)
-    return OptimConfig(iemf=IEMFConfig(**iemf_raw),
-                       mult_a=mslr.get("mult_a", 1.0), mult_v=mslr.get("mult_v", 1.0), **raw)
+def _mistyped(where: str, expected, raw) -> ConfigError:
+    return ConfigError(f"{where}: expected {expected}, got {json.dumps(raw, default=repr)[:40]}")
 
 
-def _parse_analysis(raw: dict) -> AnalysisSettings:
-    _take(raw, "analysis", {"sharpness", "landscape", "contraction", "cost"})
-    sharp = raw.get("sharpness", {})
-    _take(sharp, "analysis.sharpness", {"checkpoint", "ball_radius", "n_probes",
-                                        "ascent_steps", "blocks"})
-    land = raw.get("landscape", {})
-    _take(land, "analysis.landscape", {"checkpoint", "grid_n", "extent"})
-    contraction = raw.get("contraction", {})
-    _take(contraction, "analysis.contraction", {"eigenvalues", "alpha0", "eta", "xi",
-                                                "steps", "rotation_seed", "tolerance"})
-    cost = raw.get("cost", {})
-    _take(cost, "analysis.cost", {"metrics", "labels", "thresholds"})
-    return AnalysisSettings(
-        sharpness=SharpnessSettings(**sharp),
-        landscape=LandscapeSettings(**land),
-        contraction=ContractionSettings(**contraction),
-        cost=CostSettings(**cost),
-    )
+def _object(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise _mistyped(where, "object", raw)
+    return dict(raw)
+
+
+def _value(tp, raw, where: str):
+    if is_dataclass(tp):
+        return build(tp, raw, where)
+    origin = get_origin(tp)
+    if origin in (Union, UnionType):
+        for alt in get_args(tp):
+            try:
+                return _value(alt, raw, where)
+            except ConfigError:
+                pass
+    elif origin is list:
+        if isinstance(raw, list):
+            return [_value(get_args(tp)[0], item, f"{where}[{i}]") for i, item in enumerate(raw)]
+    elif isinstance(raw, (int, float) if tp is float else tp) and (
+            tp is bool or not isinstance(raw, bool)):
+        return raw
+    raise _mistyped(where, tp.__name__ if isinstance(tp, type) else tp, raw)
+
+
+def build(cls, raw, where: str, **given):
+    """Instance of the dataclass `cls` from the JSON object `raw` at key path `where`.
+
+    `raw` may hold any field except those the caller derived itself (`given`);
+    omitted fields keep their defaults. Values must match the field types,
+    recursing into dataclasses, `list[T]` and unions: integers reject 2.5 and
+    true, booleans reject strings. Violations raise ConfigError naming the key.
+    """
+    name = where or "top-level"
+    raw = _object(raw, name)
+    names = [f.name for f in fields(cls) if f.name not in given]
+    unknown = sorted(set(raw) - set(names))
+    if unknown:
+        raise ConfigError(f"unknown keys in {name!r} section: {unknown}")
+    missing = [f.name for f in fields(cls) if f.name in names and f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"{name}: missing required keys {missing}")
+    hints = _type_hints(cls)
+    prefix = f"{where}." if where else ""
+    return cls(**given, **{k: _value(hints[k], v, prefix + k) for k, v in raw.items()})
 
 
 def from_dict(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
-    raw = dict(raw)
-    _take(raw, "top-level", {"seed", "output_dir", "data", "model", "optim", "iemf",
-                             "continual", "analysis"})
-    seed = int(raw.get("seed", 0)) if seed_override is None else int(seed_override)
-
-    data_raw = dict(raw.get("data", {}))
-    _take(data_raw, "data", {"n_classes", "d_a", "d_v", "train_per_class", "test_per_class",
-                             "sigma_a", "sigma_v", "drop_prob_a", "drop_prob_v",
-                             "prototype_scale", "seed"})
-    data_raw.setdefault("seed", seed)
-
-    continual_raw = dict(raw.get("continual", {}))
-    _take(continual_raw, "continual", {"tasks", "classes_per_task", "method",
-                                       "lwf_temperature", "lwf_lambda"})
-    try:
-        return ExperimentConfig(
-            seed=seed,
-            output_dir=raw.get("output_dir"),
-            data=DataSpec(**data_raw),
-            model=_parse_model(dict(raw.get("model", {}))),
-            optim=_parse_optim(dict(raw.get("optim", {})), dict(raw.get("iemf", {})), seed),
-            continual=ContinualSettings(**continual_raw),
-            analysis=_parse_analysis(dict(raw.get("analysis", {}))),
-        )
-    except TypeError as exc:
-        raise ConfigError(f"malformed configuration: {exc}") from exc
+    top = _object(raw, "configuration")
+    if seed_override is not None:
+        top["seed"] = seed_override
+    seed = _value(int, top.get("seed", 0), "seed")
+    # The JSON layout differs from the dataclasses in three places: the model
+    # widths come from `data`, the top-level `iemf` section is `optim.iemf`, and
+    # `optim.mslr` holds `mult_a` and `mult_v`.
+    data = build(DataSpec, {"seed": seed, **_object(top.pop("data", {}), "data")}, "data")
+    model = build(ModelConfig, top.pop("model", {}), "model",
+                  **{width: getattr(data, key) for width, key in _WIDTHS.items()})
+    optim = _object(top.pop("optim", {}), "optim")
+    mslr = optim.pop("mslr", None)
+    mslr = {} if mslr is None else _object(mslr, "optim.mslr")
+    mult = {k: _value(float, mslr.pop(k, 1.0), f"optim.mslr.{k}") for k in ("mult_a", "mult_v")}
+    if mslr:
+        raise ConfigError(f"unknown keys in 'optim.mslr' section: {sorted(mslr)}")
+    optim = build(OptimConfig, {"seed": seed, **optim}, "optim",
+                  iemf=build(IEMFConfig, top.pop("iemf", {}), "iemf"), **mult)
+    return build(ExperimentConfig, top, "", data=data, model=model, optim=optim)
 
 
 def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: configuration must be a JSON object")
     return from_dict(raw, seed_override)

@@ -10,20 +10,43 @@ bit-exact, which is what the golden fixtures and determinism checks rely on.
 from __future__ import annotations
 
 import json
+import math
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import build
 from .data import DataSpec, Dataset
-from .errors import FormatError
-from .model import Batch, ModelConfig, MultimodalModel
-from .neurons import LIFParams
+from .errors import ConfigError, FormatError
+from .model import Batch, ModelConfig, MultimodalModel, param_shapes
 from .tensor import Tensor
 from .util import atomic_write_bytes
 
 MAGIC = b"IEMF"
 FORMAT_VERSION = 1
+
+
+@dataclass
+class Section:
+    name: str
+    shape: list[int]
+    count: int
+    offset: int
+
+
+@dataclass
+class Header:
+    meta: dict = field(default_factory=dict)
+    sections: list[Section] = field(default_factory=list)
+
+
+def _build(cls, raw, where: str):
+    """`config.build` for container metadata: a malformed record is a FormatError."""
+    try:
+        return build(cls, raw, where)
+    except ConfigError as exc:
+        raise FormatError(str(exc)) from exc
 
 
 def write_container(path: str, sections: dict[str, np.ndarray], meta: dict) -> None:
@@ -34,15 +57,9 @@ def write_container(path: str, sections: dict[str, np.ndarray], meta: dict) -> N
     entries = []
     for name in names:
         arr = np.ascontiguousarray(np.asarray(sections[name], dtype=np.float64))
-        raw = arr.astype("<f8").tobytes()
-        entries.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "count": int(arr.size),
-            "offset": len(payload),
-        })
-        payload.extend(raw)
-    header = json.dumps({"meta": meta, "sections": entries}, sort_keys=True).encode("utf-8")
+        entries.append(Section(name, list(arr.shape), int(arr.size), len(payload)))
+        payload.extend(arr.astype("<f8").tobytes())
+    header = json.dumps(asdict(Header(meta, entries)), sort_keys=True).encode("utf-8")
     blob = MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", len(header))
     atomic_write_bytes(path, blob + header + bytes(payload))
 
@@ -59,15 +76,18 @@ def read_container(path: str) -> tuple[dict[str, np.ndarray], dict]:
     if 16 + header_len > len(blob):
         raise FormatError(f"{path}: truncated header")
     try:
-        header = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
+        raw = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: malformed header ({exc})") from exc
+    header = _build(Header, raw, f"{path}: header")
     payload = blob[16 + header_len :]
     sections: dict[str, np.ndarray] = {}
     claimed: list[tuple[int, int]] = []
-    for entry in header.get("sections", []):
-        name, shape, count, offset = entry["name"], entry["shape"], entry["count"], entry["offset"]
-        if count != int(np.prod(shape, dtype=np.int64)):
+    for entry in header.sections:
+        name, shape, count, offset = entry.name, entry.shape, entry.count, entry.offset
+        if any(dim < 0 for dim in shape):
+            raise FormatError(f"{path}: section {name!r} has a negative dimension")
+        if count != math.prod(shape):
             raise FormatError(f"{path}: section {name!r} count does not match its shape")
         nbytes = count * 8
         if offset < 0 or offset + nbytes > len(payload):
@@ -78,7 +98,7 @@ def read_container(path: str) -> tuple[dict[str, np.ndarray], dict]:
         claimed.append((offset, offset + nbytes))
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
         sections[name] = arr.astype(np.float64).reshape(shape)
-    return sections, header.get("meta", {})
+    return sections, header.meta
 
 
 def _labels_to_f64(y: np.ndarray) -> np.ndarray:
@@ -109,7 +129,7 @@ def load_dataset(path: str) -> Dataset:
     if meta.get("kind") != "dataset":
         raise FormatError(f"{path}: container does not hold a dataset")
     try:
-        spec = DataSpec(**meta["spec"])
+        spec = _build(DataSpec, meta.get("spec"), f"{path}: dataset spec")
         train = Batch(Tensor(sections["train/x_a"]), Tensor(sections["train/x_v"]),
                       _labels_from_f64(sections["train/y"], path))
         test = Batch(Tensor(sections["test/x_a"]), Tensor(sections["test/x_v"]),
@@ -129,9 +149,12 @@ def load_checkpoint(path: str) -> MultimodalModel:
     sections, meta = read_container(path)
     if meta.get("kind") != "checkpoint":
         raise FormatError(f"{path}: container does not hold a checkpoint")
-    raw = dict(meta["model"])
-    raw["lif"] = LIFParams(**raw["lif"])
-    cfg = ModelConfig(**raw)
+    cfg = _build(ModelConfig, meta.get("model"), f"{path}: checkpoint model")
     params = {name[len("param/"):]: arr for name, arr in sections.items()
               if name.startswith("param/")}
+    expected = param_shapes(cfg)
+    wrong = sorted(pid for pid in expected.keys() | params.keys()
+                   if pid not in params or expected.get(pid) != params[pid].shape)
+    if wrong:
+        raise FormatError(f"{path}: parameters {wrong} do not match the checkpoint's model config")
     return MultimodalModel(cfg, params)

@@ -125,14 +125,13 @@ class MultimodalModel:
         return MultimodalModel(self.cfg, {k: v.copy() for k, v in self.params.items()})
 
 
-def init_model(cfg: ModelConfig, seed: int) -> MultimodalModel:
-    """Seeded init: W ~ N(0, 1/fan_in), biases zero."""
-    rng = seeded_rng(seed, STREAM_MODEL)
-    params: dict[str, np.ndarray] = {}
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Id and shape of every parameter `init_model` creates, in creation order."""
+    shapes: dict[str, tuple[int, ...]] = {}
 
     def linear(name: str, fan_in: int, fan_out: int) -> None:
-        params[f"{name}.W"] = rng.standard_normal((fan_out, fan_in)) / np.sqrt(fan_in)
-        params[f"{name}.b"] = np.zeros(fan_out)
+        shapes[f"{name}.W"] = (fan_out, fan_in)
+        shapes[f"{name}.b"] = (fan_out,)
 
     for modality in ("a", "v"):
         widths = cfg.encoder_widths(modality)
@@ -141,6 +140,14 @@ def init_model(cfg: ModelConfig, seed: int) -> MultimodalModel:
     linear("fusion", 2 * cfg.latent, cfg.n_classes)
     linear("head_a", cfg.latent, cfg.n_classes)
     linear("head_v", cfg.latent, cfg.n_classes)
+    return shapes
+
+
+def init_model(cfg: ModelConfig, seed: int) -> MultimodalModel:
+    """Seeded init: W ~ N(0, 1/fan_in), biases zero."""
+    rng = seeded_rng(seed, STREAM_MODEL)
+    params = {pid: rng.standard_normal(shape) / np.sqrt(shape[1]) if len(shape) == 2
+              else np.zeros(shape) for pid, shape in param_shapes(cfg).items()}
     return MultimodalModel(cfg, params)
 
 

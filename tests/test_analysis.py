@@ -43,12 +43,18 @@ def test_contraction_unit_schedule_equals_vanilla_descent():
                                xi_schedule=[1.0] * 50)
     report = verify_contraction(problem)
     assert report.passed and not report.diverged
-    # identity basis: alpha follows the plain GD recursion exactly
+    # identity basis: alpha follows the plain GD recursion exactly; a direction run
+    # alone has norm |alpha_i|, which pins each coordinate
     expect = np.array([1.0, -2.0])
     lam = np.array([1.0, 4.0])
+    alone = [verify_contraction(QuadraticProblem(eigenvalues=[lam_i], alpha0=[a_i], eta=0.1,
+                                                 xi_schedule=[1.0] * 50))
+             for lam_i, a_i in zip(lam, expect)]
     for t in range(1, 51):
         expect = (1.0 - 0.1 * lam) * expect
-        assert np.max(np.abs(report.alpha_trace[t] - expect)) < 1e-14
+        assert abs(report.norm_trace[t] - np.linalg.norm(expect)) < 1e-14
+        for i in range(2):
+            assert abs(alone[i].norm_trace[t] - abs(expect[i])) < 1e-14
     assert all(case == "equal" for case in report.step_cases)
 
 
@@ -57,7 +63,12 @@ def test_contraction_hand_recursion_first_step():
                                xi_schedule=[0.5] * 10)
     report = verify_contraction(problem)
     assert report.passed
-    assert np.allclose(report.alpha_trace[1], [0.975, 0.75], atol=1e-15)
+    assert abs(report.norm_trace[1] - np.hypot(0.975, 0.75)) < 1e-15
+    # each direction alone: its norm is |alpha_i|, so the per-direction factors are pinned
+    for lam, first in ((1.0, 0.975), (10.0, 0.75)):
+        alone = verify_contraction(QuadraticProblem(eigenvalues=[lam], alpha0=[1.0], eta=0.05,
+                                                    xi_schedule=[0.5]))
+        assert abs(alone.norm_trace[1] - first) < 1e-15
     assert all(case == "reduced" for case in report.step_cases)
 
 
