@@ -1,5 +1,7 @@
 """Optimizer, epoch loop, FLOPs accounting, and reproducibility."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from iemf.data import DataSpec, generate
 from iemf.errors import ConfigError
 from iemf.model import ModelConfig, init_model
 from iemf.modulation import IEMFConfig
+from iemf.neurons import LIFParams
 from iemf.tensor import GradientSet, Tensor
 from iemf.training import (
     EpochMetrics,
@@ -26,6 +29,16 @@ GOLDEN_EPOCHS = [
     dict(train_loss=3.2615834730554862, train_acc=0.375, test_acc=0.25,
          mean_xi=0.9362126172949232, flops=47328),
 ]
+
+# SHA-256 of the (s_unimodal, s_multimodal, xi) trace and of the final
+# parameters (sorted by id), little-endian float64, of a small spiking run
+# (T=4, depth 2), per head mode
+GOLDEN_SPIKING = {
+    "probe_detached": ("0ed688eedc54d1b6a2f64c5390adbb62b799da7d220c1c7c9e203d110a0e4152",
+                       "d545add52a996abbbd228c76a7e12c55bc0f1690200e70de1c926d6a7f0a902d"),
+    "joint": ("fd9b81a59bf4fb7c1a9f90c03884e2e38221803ed8a04bc3524cb2d22d05221b",
+              "5bb59df42ed7f5bd2f4182f87a953281aa84d775e25e94129c6aefea8f9b9adc"),
+}
 
 
 def small_setup():
@@ -140,6 +153,27 @@ def test_train_golden_metrics():
         assert h.flops_cumulative == gold["flops"]
 
 
+def _sha256_f64(arrays) -> str:
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("head_mode", sorted(GOLDEN_SPIKING))
+def test_train_spiking_golden_digests(head_mode):
+    ds = generate(DataSpec(n_classes=3, d_a=6, d_v=5, train_per_class=8, test_per_class=4, seed=0))
+    model = init_model(ModelConfig(d_in_a=6, d_in_v=5, n_classes=3, hidden=8, latent=6, depth=2,
+                                   neuron_mode="spiking", lif=LIFParams(t_steps=4),
+                                   head_mode=head_mode), 0)
+    cfg = OptimConfig(eta=5e-2, epochs=3, batch_size=6, seed=0)
+    model, _, trace = train(ds, model, cfg)
+    xi_digest, param_digest = GOLDEN_SPIKING[head_mode]
+    assert len(trace) == 12  # 3 epochs x 4 batches of 6
+    assert _sha256_f64([[(r.s_unimodal, r.s_multimodal, r.xi) for r in trace]]) == xi_digest
+    assert _sha256_f64([model.params[pid] for pid in sorted(model.params)]) == param_digest
+
+
 def test_train_on_epoch_callback_streams_partial_logs():
     ds, model = small_setup()
     seen = []
@@ -174,7 +208,6 @@ def test_flops_double_batches_double_cost():
 
 
 def test_flops_spiking_scales_with_steps():
-    from iemf.neurons import LIFParams
     from iemf.training import _xent_flops
 
     cont = init_model(ModelConfig(d_in_a=4, d_in_v=4, n_classes=3, hidden=5, latent=4), 0)
