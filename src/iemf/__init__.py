@@ -38,7 +38,7 @@ from .modulation import (
     iemf_train_step,
     per_sample_content,
 )
-from .neurons import LIFParams, lif_step, relu
+from .neurons import LIFParams, lif_layer, relu
 from .tensor import (
     GradientSet,
     Tape,

@@ -304,8 +304,16 @@ def landscape_grid_of(loss_fn, w0: np.ndarray, blocks: list[tuple[int, int]], gr
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
+        # numpy keeps its error state per context, and pool threads start
+        # from the default one, so carry the caller's state over
+        err = np.geterr()
+
+        def pooled_cell(point):
+            with np.errstate(**err):
+                return cell(point)
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(cell, points))
+            values = list(pool.map(pooled_cell, points))
     else:
         values = [cell(p) for p in points]
     grid = np.asarray(values, dtype=np.float64).reshape(grid_n, grid_n)

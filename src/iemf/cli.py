@@ -14,6 +14,8 @@ import os
 import sys
 from dataclasses import asdict, astuple, fields
 
+import numpy as np
+
 from . import analysis, container, continual, data, training
 from .config import ExperimentConfig, load_config
 from .errors import VALIDATION_ERRORS, ConfigError, FormatError, NumericError
@@ -251,7 +253,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # every op output is checked for finiteness, so numpy's own overflow
+        # warnings would only add lines ahead of the one-line failure message
+        with np.errstate(all="ignore"):
+            return _COMMANDS[args.command](args)
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,9 +19,12 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, ShapeError
-from .neurons import LIFParams, lif_step, relu
+from .neurons import LIFParams, lif_layer, relu
 from .tensor import Tape, Tensor, softmax_cross_entropy
 from .util import STREAM_MODEL, seeded_rng
+
+# bench/spans.py wraps `iemf.model.lif_step` by name; nothing here calls it.
+lif_step = lif_layer
 
 NEURON_MODES = ("continuous", "spiking")
 HEAD_MODES = ("probe_detached", "joint")
@@ -158,36 +161,26 @@ def bind_params(model: MultimodalModel, tape: Tape | None) -> dict[str, Tensor]:
     return {pid: tape.leaf(arr, param_id=pid) for pid, arr in model.params.items()}
 
 
-def _affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return T.add_bias(T.matmul(x, T.transpose(w)), b)
-
-
 def _encode_continuous(x: Tensor, layers: list[tuple[Tensor, Tensor]]) -> Tensor:
     z = x
     for i, (w, b) in enumerate(layers):
-        z = _affine(z, w, b)
+        z = T.linear(z, w, b)
         if i < len(layers) - 1:
             z = relu(z)
     return z
 
 
 def _encode_spiking(x: Tensor, layers: list[tuple[Tensor, Tensor]], lif: LIFParams) -> list[Tensor]:
-    """T-step LIF stack; returns the last layer's spike train.
+    """T-step LIF stack, one node per layer; returns the last layer's spikes per step.
 
     The first layer's drive is the affine image of the input, identical at
-    every step, so it is computed once and fanned out on the tape.
+    every step, so it is computed once and shared by every step.
     """
-    drive = _affine(x, layers[0][0], layers[0][1])
-    batch = x.shape[0]
-    u = [Tensor(np.zeros((batch, w.shape[0]))) for w, _ in layers]
-    spikes_out: list[Tensor] = []
-    for _ in range(lif.t_steps):
-        s_prev: Tensor | None = None
-        for layer_idx, (w, b) in enumerate(layers):
-            current = drive if layer_idx == 0 else _affine(s_prev, w, b)
-            u[layer_idx], s_prev = lif_step(u[layer_idx], current, lif)
-        spikes_out.append(s_prev)
-    return spikes_out
+    (w0, b0), *deeper = layers
+    spikes = lif_layer([T.linear(x, w0, b0)], lif)
+    for w, b in deeper:
+        spikes = lif_layer([T.linear(s, w, b) for s in T.split_rows(spikes, lif.t_steps)], lif)
+    return T.split_rows(spikes, lif.t_steps)
 
 
 def fuse_concat(z_a: Tensor, z_v: Tensor, model: MultimodalModel,
@@ -200,7 +193,7 @@ def fuse_concat(z_a: Tensor, z_v: Tensor, model: MultimodalModel,
         raise ShapeError(
             f"fusion expects latent widths summing to {w.shape[1]}, got {z_a.shape[1]}+{z_v.shape[1]}"
         )
-    return T.add_bias(T.matmul(T.concat_cols(z_a, z_v), T.transpose(w)), b)
+    return T.linear(T.concat_cols(z_a, z_v), w, b)
 
 
 def _check_input_widths(batch: Batch, cfg: ModelConfig) -> None:
@@ -211,13 +204,19 @@ def _check_input_widths(batch: Batch, cfg: ModelConfig) -> None:
         )
 
 
+def _step_mean(steps: list[Tensor]) -> Tensor:
+    """The step average of untraced copies, so it records nothing on the tape."""
+    return T.mean_tensors([Tensor(s.data) for s in steps])
+
+
 def network_logits(batch: Batch, model: MultimodalModel, tape: Tape | None = None):
     """Latents plus the three logit sets (fused, audio probe, visual probe).
 
     Each encoder yields one latent per step: a single one in continuous mode,
     the spike train in spiking mode. The fusion layer and the probe heads read
     every step and their logits are averaged over the steps; the returned
-    latents are the step averages (the firing rates in spiking mode).
+    latents are the step averages (the firing rates in spiking mode), which
+    no loss reads, so they are computed off the tape.
     """
     cfg = model.cfg
     leaves = bind_params(model, tape)
@@ -231,13 +230,13 @@ def network_logits(batch: Batch, model: MultimodalModel, tape: Tape | None = Non
 
     def head(latent: Tensor, name: str) -> Tensor:
         inp = T.detach(latent) if cfg.head_mode == "probe_detached" else latent
-        return _affine(inp, leaves[f"{name}.W"], leaves[f"{name}.b"])
+        return T.linear(inp, leaves[f"{name}.W"], leaves[f"{name}.b"])
 
     sa, sv = latents(batch.x_a, "a"), latents(batch.x_v, "v")
     logits_av = T.mean_tensors([fuse_concat(a, v, model, leaves) for a, v in zip(sa, sv)])
     logits_a = T.mean_tensors([head(s, "head_a") for s in sa])
     logits_v = T.mean_tensors([head(s, "head_v") for s in sv])
-    return T.mean_tensors(sa), T.mean_tensors(sv), logits_av, logits_a, logits_v
+    return _step_mean(sa), _step_mean(sv), logits_av, logits_a, logits_v
 
 
 def forward_full(batch: Batch, model: MultimodalModel, tape: Tape | None = None,

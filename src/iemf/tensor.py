@@ -6,7 +6,13 @@ recording and certifies bit-identical results. Operations registered through
 `register_op` (see `neurons` for the spiking kernels) are replayable and
 differentiable like the built-ins.
 
-Shape rules are deliberately narrow: the only broadcast is the bias-row add.
+Every value is checked for finiteness once: op outputs in `_apply`, raw
+arrays where they enter through `Tensor(...)` or `Tape.leaf`, and parameter
+gradients at the end of `backward`. Arrays that already passed are wrapped
+without a second check.
+
+Shape rules are deliberately narrow: the only broadcast is the bias-row add,
+in `add_bias` and in the fused affine map `linear`.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ def _as_array(data) -> Array:
 
 
 def _require_finite(arr: Array, where: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"non-finite values produced by {where}")
 
 
@@ -48,6 +54,13 @@ class Tensor:
         self.data = arr
         self.tape = tape
         self.node = node
+
+    @classmethod
+    def _checked(cls, arr: Array, tape: "Tape | None" = None, node: int | None = None) -> "Tensor":
+        """Wrap a contiguous float64 array that already passed the finiteness check."""
+        t = cls.__new__(cls)
+        t.data, t.tape, t.node = arr, tape, node
+        return t
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -76,8 +89,8 @@ class Node:
     param_id: str | None = None
 
 
-# forward(input_values, aux) -> value; backward(out_grad, out_value, input_values, aux)
-# -> one gradient (or None) per input.
+# forward(input_values, aux) -> value, a C-contiguous float64 array;
+# backward(out_grad, out_value, input_values, aux) -> one gradient (or None) per input.
 ForwardRule = Callable[[list[Array], Any], Array]
 BackwardRule = Callable[[Array, Array, list[Array], Any], list[Array | None]]
 
@@ -107,10 +120,10 @@ class Tape:
         return len(self.nodes)
 
     def leaf(self, data, param_id: str | None = None) -> Tensor:
-        t = data if isinstance(data, Tensor) else Tensor(data)
+        arr = (data if isinstance(data, Tensor) else Tensor(data)).data
         nid = len(self.nodes)
-        self.nodes.append(Node("leaf", (), t.data, None, param_id))
-        return Tensor(t.data, self, nid)
+        self.nodes.append(Node("leaf", (), arr, None, param_id))
+        return Tensor._checked(arr, self, nid)
 
 
 def _record(op: str, operands: Sequence[Tensor], value: Array, aux: Any = None) -> Tensor:
@@ -122,14 +135,14 @@ def _record(op: str, operands: Sequence[Tensor], value: Array, aux: Any = None) 
             elif tape is not t.tape:
                 raise ContractError("operands were recorded on different tapes")
     if tape is None:
-        return Tensor(value)
+        return Tensor._checked(value)
     ids = tuple(
         t.node if t.tape is tape else tape.leaf(t).node  # lift constants for replay
         for t in operands
     )
     nid = len(tape.nodes)
     tape.nodes.append(Node(op, ids, value, aux))
-    return Tensor(value, tape, nid)
+    return Tensor._checked(value, tape, nid)
 
 
 def _apply(op: str, operands: Sequence[Tensor], aux: Any = None) -> Tensor:
@@ -195,11 +208,34 @@ def sadd(a: Tensor, c: float) -> Tensor:
 
 
 def add_bias(m: Tensor, bias: Tensor) -> Tensor:
-    """Row-broadcast bias add: (B,N) + (N,). The only broadcast in the engine."""
+    """Row-broadcast bias add: (B,N) + (N,)."""
     m, bias = as_tensor(m), as_tensor(bias)
     if m.data.ndim != 2 or bias.data.ndim != 1 or m.shape[1] != bias.shape[0]:
         raise ShapeError(f"add_bias needs (B,N)+(N,), got {m.shape} and {bias.shape}")
     return _apply("add_bias", (m, bias))
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map x W^T + b: (B,K) rows through (N,K) weights plus an (N,) bias row.
+
+    One node evaluating exactly what `add_bias(matmul(x, transpose(w)), b)`
+    evaluates, forward and backward, so the results are bit-identical.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
+        raise ShapeError(f"linear needs (B,K), (N,K), (N,), got {x.shape}, {w.shape}, {b.shape}")
+    if x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]:
+        raise ShapeError(f"linear shapes disagree: {x.shape} x {w.shape}^T + {b.shape}")
+    return _apply("linear", (x, w, b))
+
+
+def split_rows(a: Tensor, parts: int) -> list[Tensor]:
+    """`parts` equal row blocks of a 2-D tensor, in order, one tape node each."""
+    a = as_tensor(a)
+    if a.data.ndim != 2 or parts < 1 or a.shape[0] % parts != 0:
+        raise ShapeError(f"cannot split {a.shape} into {parts} equal row blocks")
+    n = a.shape[0] // parts
+    return [_apply("row_slice", (a,), (i * n, (i + 1) * n)) for i in range(parts)]
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -338,6 +374,19 @@ def _bwd_add_bias(g, out, ins, aux):
     return [g, g.sum(axis=0)]
 
 
+def _bwd_linear(g, out, ins, aux):
+    x, w, _ = ins
+    wt = np.ascontiguousarray(w.T)
+    return [g @ wt.T, np.ascontiguousarray((x.T @ g).T), g.sum(axis=0)]
+
+
+def _bwd_row_slice(g, out, ins, aux):
+    start, stop = aux
+    grad = np.zeros_like(ins[0])
+    grad[start:stop] = g
+    return [grad]
+
+
 def _bwd_concat_cols(g, out, ins, aux):
     split = aux
     return [np.ascontiguousarray(g[:, :split]), np.ascontiguousarray(g[:, split:])]
@@ -392,6 +441,12 @@ register_op(
 register_op("smul", lambda ins, aux: ins[0] * aux, lambda g, out, ins, aux: [g * aux])
 register_op("sadd", lambda ins, aux: ins[0] + aux, lambda g, out, ins, aux: [g])
 register_op("add_bias", lambda ins, aux: ins[0] + ins[1], _bwd_add_bias)
+register_op(
+    "linear",
+    lambda ins, aux: ins[0] @ np.ascontiguousarray(ins[1].T) + ins[2],
+    _bwd_linear,
+)
+register_op("row_slice", lambda ins, aux: ins[0][aux[0]:aux[1]], _bwd_row_slice)
 register_op(
     "concat_cols", lambda ins, aux: np.concatenate([ins[0], ins[1]], axis=1), _bwd_concat_cols
 )
@@ -462,9 +517,9 @@ def backward(tape: Tape, seed: Tensor) -> GradientSet:
         if node.param_id in grads:
             raise ContractError(f"parameter {node.param_id!r} bound twice on one tape")
         g = adjoints[nid] if nid <= seed.node else None
-        arr = np.zeros_like(node.value) if g is None else np.asarray(g)
+        arr = np.zeros_like(node.value) if g is None else _as_array(g)
         _require_finite(arr, "backward")
-        grads[node.param_id] = Tensor(arr)
+        grads[node.param_id] = Tensor._checked(arr)
     return GradientSet(grads)
 
 

@@ -18,7 +18,7 @@ from iemf.continual import aa_aia, afr, build_task_stream, train_incremental
 from iemf.data import DataSpec, generate
 from iemf.model import Batch, ModelConfig, forward_full, init_model
 from iemf.modulation import IEMFConfig, iemf_coefficient
-from iemf.neurons import LIFParams, lif_step
+from iemf.neurons import LIFParams, lif_layer
 from iemf.tensor import Tape, Tensor, backward
 from iemf.training import OptimConfig, top1_accuracy, train
 
@@ -174,11 +174,9 @@ def test_criterion_2_gradient_correctness():
     tape = Tape()
     w = tape.leaf(w0, param_id="w")
     b = tape.leaf(b0, param_id="b")
-    drive = T.add_bias(T.matmul(tape.leaf(x), T.transpose(w)), b)
-    u = Tensor(np.zeros((3, 2)))
+    drive = T.linear(tape.leaf(x), w, b)
     loss = None
-    for _ in range(p.t_steps):
-        u, s = lif_step(u, drive, p)
+    for s in T.split_rows(lif_layer([drive], p), p.t_steps):
         term = T.sum_all(T.mul(s, Tensor(np.tile(c, (3, 1)))))
         loss = term if loss is None else T.add(loss, term)
     grads = backward(tape, loss)

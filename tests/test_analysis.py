@@ -193,6 +193,20 @@ def test_landscape_threaded_equals_serial(monkeypatch):
     assert np.array_equal(threaded, serial)
 
 
+def test_landscape_pool_threads_keep_the_callers_numpy_error_state(monkeypatch):
+    """numpy keeps errstate per context; pool threads must not fall back to the default."""
+    seen = []
+
+    def loss_fn(w):
+        seen.append(np.geterr()["over"])
+        return float(w @ w)
+
+    monkeypatch.setenv("IEMF_THREADS", "2")
+    with np.errstate(over="ignore"):
+        landscape_grid_of(loss_fn, np.ones(2), [(0, 2)], grid_n=3, extent=1.0, seed=0)
+    assert seen == ["ignore"] * 9
+
+
 def test_landscape_quadratic_matches_closed_form():
     lams = [1.0, 2.0, 5.0]
     loss_fn, _, h = quadratic(lams, seed=9)

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +167,27 @@ def test_exit_codes(workdir, tmp_path):
     # 4: unreadable dataset path
     assert main(["train", "--config", cfg, "--data", str(tmp / "missing.iemf"),
                  "--out", str(tmp / "t2")]) == 4
+
+
+def test_numeric_failure_prints_one_line(workdir):
+    """Exit 3 with only the failure message on stderr, no numpy warning ahead of it.
+
+    Runs in a subprocess because pytest captures warnings."""
+    tmp, cfg = workdir
+    data = str(tmp / "data.iemf")
+    assert main(["generate", "--config", cfg, "--out", data]) == 0
+    hot = tmp / "hot.json"
+    hot.write_text(json.dumps({**SMOKE_CONFIG, "optim": {**SMOKE_CONFIG["optim"], "eta": 1e300}}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "iemf.cli", "train", "--config", str(hot), "--data", data,
+         "--out", str(tmp / "hot")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric failure: "), proc.stderr
 
 
 def test_seed_override_propagates(workdir):

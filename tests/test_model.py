@@ -1,9 +1,12 @@
 """Two-branch network: encoding, fusion, probe heads, and mode parity."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import iemf.tensor as T
+from iemf.config import load_config
 from iemf.errors import ShapeError
 from iemf.model import (
     Batch,
@@ -205,3 +208,31 @@ def test_clone_is_independent():
     twin = model.clone()
     twin.params["fusion.W"][0, 0] += 1.0
     assert model.params["fusion.W"][0, 0] != twin.params["fusion.W"][0, 0]
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name, nodes", [("default", 34), ("spiking", 88)])
+def test_tape_nodes_per_step_at_shipped_config_shapes(name, nodes):
+    """One training step's tape at the shape of `configs/<name>.json`, batch included.
+
+    Continuous: 14 parameter leaves, 2 input leaves, 7 `linear`, 2 `relu`,
+    `concat_cols`, 2 `detach`, 3 `softmax_xent` and 3 nodes combining the
+    losses. Spiking (T=4, depth 2) drops the `relu`s and adds per modality 2
+    `lif_layer`, 8 `row_slice` and 3 more `linear`; the fusion layer and both
+    heads run at every step and their logits are averaged (3 `add` + 1 `smul`
+    per logit set).
+    """
+    cfg = load_config(str(CONFIGS / f"{name}.json"))
+    model = init_model(cfg.model, cfg.seed)
+    rng = np.random.default_rng(0)
+    b = cfg.optim.batch_size
+    batch = Batch(Tensor(rng.standard_normal((b, cfg.model.d_in_a))),
+                  Tensor(rng.standard_normal((b, cfg.model.d_in_v))),
+                  rng.integers(0, cfg.model.n_classes, size=b))
+    tape = Tape()
+    forward_full(batch, model, tape)
+    assert len(tape) == nodes
+    for node in tape.nodes:  # the value contract of every op's forward rule
+        assert node.value.dtype == np.float64 and node.value.flags.c_contiguous, node.op

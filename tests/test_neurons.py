@@ -5,7 +5,7 @@ import pytest
 
 import iemf.tensor as T
 from iemf.errors import ConfigError, ShapeError
-from iemf.neurons import LIFParams, lif_step, relu
+from iemf.neurons import LIFParams, lif_layer, lif_scan, relu
 from iemf.tensor import Tape, Tensor, backward
 
 
@@ -49,62 +49,64 @@ def test_lif_params_validation():
         LIFParams(surrogate_width=0.0)
 
 
+def _spikes(currents, p):
+    """Per-step spikes of one layer run as the multi-step op."""
+    return [s.data for s in T.split_rows(lif_layer(currents, p), p.t_steps)]
+
+
+def _membranes(currents, p):
+    """Per-step membranes after reset, from the op's own dynamics."""
+    return [u_pre * keep for u_pre, _, _, keep in lif_scan([c.data for c in currents], p)]
+
+
 def test_lif_zero_input_stays_silent():
     p = LIFParams()
-    u = Tensor(np.zeros(4))
-    for _ in range(p.t_steps):
-        u, s = lif_step(u, Tensor(np.zeros(4)), p)
-        assert np.array_equal(u.data, np.zeros(4))
-        assert np.array_equal(s.data, np.zeros(4))
+    drive = [Tensor(np.zeros((2, 4)))]
+    assert len(_spikes(drive, p)) == p.t_steps
+    for u, s in zip(_membranes(drive, p), _spikes(drive, p)):
+        assert np.array_equal(u, np.zeros((2, 4)))
+        assert np.array_equal(s, np.zeros((2, 4)))
 
 
 def test_lif_forced_spike_and_reset():
-    p = LIFParams(u_th=0.5)
-    u, s = lif_step(Tensor([0.0]), Tensor([1.0]), p)
-    assert s.data[0] == 1.0
-    assert u.data[0] == 0.0
-
-
-def run_lif(currents, p):
-    """Membranes after reset and spikes of one layer driven from a zero state."""
-    u = Tensor(np.zeros_like(currents[0].data))
-    us, spikes = [], []
-    for cur in currents:
-        u, s = lif_step(u, cur, p)
-        us.append(u)
-        spikes.append(s)
-    return us, spikes
+    p = LIFParams(u_th=0.5, t_steps=1)
+    drive = [Tensor([[1.0]])]
+    assert _spikes(drive, p)[0][0, 0] == 1.0
+    assert _membranes(drive, p)[0][0, 0] == 0.0
 
 
 def test_lif_hand_simulated_sequence():
     # tau=0.5, u_th=0.5, constant drive 0.3: u runs 0.3, 0.45, then crosses at 0.525
     p = LIFParams(u_th=0.5, tau_m=2.0, t_steps=4)
-    us, spikes = run_lif([Tensor([0.3])] * 4, p)
+    drive = [Tensor([[0.3]])]
+    us, spikes = _membranes(drive, p), _spikes(drive, p)
     pre = [0.3, 0.45, 0.525]
-    assert abs(us[0].data[0] - pre[0]) < 1e-15
-    assert abs(us[1].data[0] - pre[1]) < 1e-15
-    assert spikes[0].data[0] == 0.0 and spikes[1].data[0] == 0.0
-    assert spikes[2].data[0] == 1.0
-    assert us[2].data[0] == 0.0  # reset after the spike
+    assert abs(us[0][0, 0] - pre[0]) < 1e-15
+    assert abs(us[1][0, 0] - pre[1]) < 1e-15
+    assert spikes[0][0, 0] == 0.0 and spikes[1][0, 0] == 0.0
+    assert spikes[2][0, 0] == 1.0
+    assert us[2][0, 0] == 0.0  # reset after the spike
+    assert spikes[3][0, 0] == 0.0  # 0.3 again after the reset
 
 
 def test_spike_binarity_and_reset_invariant():
     rng = np.random.default_rng(4)
-    p = LIFParams()
+    p = LIFParams(t_steps=6)
     currents = [Tensor(rng.standard_normal((8, 5))) for _ in range(6)]
-    for u, s in zip(*run_lif(currents, p)):
-        assert set(np.unique(s.data)).issubset({0.0, 1.0})
-        assert np.array_equal(u.data * s.data, np.zeros_like(u.data))
+    spikes = _spikes(currents, p)
+    assert any(s.any() for s in spikes)
+    for u, s in zip(_membranes(currents, p), spikes):
+        assert set(np.unique(s)).issubset({0.0, 1.0})
+        assert np.array_equal(u * s, np.zeros_like(u))
 
 
 def test_surrogate_derivative_hat():
     """d spike / d current from a zero membrane is the hat at the current."""
-    p = LIFParams(u_th=0.5, surrogate_width=1.0)
-    currents = np.array([0.5, 1.5, -0.5, 0.75])
+    p = LIFParams(u_th=0.5, surrogate_width=1.0, t_steps=1)
+    currents = np.array([[0.5, 1.5, -0.5, 0.75]])
     tape = Tape()
     x = tape.leaf(currents, param_id="x")
-    _, spike = lif_step(Tensor(np.zeros(4)), x, p)
-    grad = backward(tape, T.sum_all(spike))["x"].data
+    grad = backward(tape, T.sum_all(lif_layer([x], p)))["x"].data[0]
     assert grad[0] == 1.0
     assert grad[1] == 0.0
     assert grad[2] == 0.0
@@ -112,42 +114,50 @@ def test_surrogate_derivative_hat():
 
 
 def test_lif_shape_mismatch():
+    p = LIFParams(t_steps=2)
     with pytest.raises(ShapeError):
-        lif_step(Tensor(np.zeros(3)), Tensor(np.zeros(4)), LIFParams())
+        lif_layer([Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4)))], p)
+    with pytest.raises(ShapeError):
+        lif_layer([Tensor(np.zeros((1, 3)))] * 3, p)
+    with pytest.raises(ShapeError):
+        lif_layer([Tensor(np.zeros(3))], p)
 
 
 def test_subthreshold_map_is_linear_and_matches_finite_differences():
-    """With every unit outside the surrogate support, the unrolled map is linear."""
-    p = LIFParams(u_th=5.0, tau_m=2.0, t_steps=4, surrogate_width=1.0)
+    """With every unit below threshold, the unrolled membrane map is linear and
+    the op's BPTT gradient is the exact gradient of the summed surrogate
+    potential sum_t S(u_pre_t - u_th), S' = hat: here S(v) = v + v^2 / (2 width)."""
+    p = LIFParams(u_th=5.0, tau_m=2.0, t_steps=4, surrogate_width=10.0)
     rng = np.random.default_rng(6)
     w0 = 0.05 * rng.standard_normal((3, 3))
     x = 0.1 * rng.standard_normal((4, 3))
 
-    def final_membrane_sum(w_val):
-        tape = Tape()
-        w = tape.leaf(w_val, param_id="w")
-        drive = T.matmul(tape.leaf(x), T.transpose(w))
-        u = Tensor(np.zeros((4, 3)))
-        for _ in range(p.t_steps):
-            u, s = lif_step(u, drive, p)
-            assert not s.data.any()
-        return tape, T.sum_all(u)
+    def surrogate_potential(w_val):
+        steps = lif_scan([x @ w_val.T], p)
+        assert not any(spike.any() for _, _, spike, _ in steps)
+        v = np.concatenate([shifted for _, shifted, _, _ in steps])
+        assert np.all((-p.surrogate_width < v) & (v < 0.0))  # inside the hat's rising side
+        return float((v + v * v / (2.0 * p.surrogate_width)).sum())
 
-    # linearity: f(a x1 + b x2) == a f(x1) + b f(x2) for the membrane map
-    tape, loss = final_membrane_sum(w0)
-    grads = backward(tape, loss)
+    tape = Tape()
+    w = tape.leaf(w0, param_id="w")
+    drive = T.matmul(tape.leaf(x), T.transpose(w))
+    grads = backward(tape, T.sum_all(lif_layer([drive], p)))
     h = 1e-5
     for idx in [(0, 0), (1, 2), (2, 1)]:
         wp, wm = w0.copy(), w0.copy()
         wp[idx] += h
         wm[idx] -= h
-        fd = (final_membrane_sum(wp)[1].item() - final_membrane_sum(wm)[1].item()) / (2 * h)
+        fd = (surrogate_potential(wp) - surrogate_potential(wm)) / (2 * h)
         rel = abs(grads["w"].data[idx] - fd) / max(1e-6, abs(fd))
         assert rel < 1e-6
 
     # doubling the weights doubles the final membrane sum (no spikes anywhere)
-    _, loss2 = final_membrane_sum(2.0 * w0)
-    assert abs(loss2.item() - 2.0 * loss.item()) < 1e-12
+    def final_membrane_sum(w_val):
+        u_pre, _, _, keep = lif_scan([x @ w_val.T], p)[-1]
+        return float((u_pre * keep).sum())
+
+    assert abs(final_membrane_sum(2.0 * w0) - 2.0 * final_membrane_sum(w0)) < 1e-12
 
 
 def _hand_unrolled_bptt(w, b, x, c, p, t_steps):
@@ -188,12 +198,8 @@ def test_bptt_matches_hand_unrolled_oracle():
     tape = Tape()
     w = tape.leaf(w0, param_id="w")
     b = tape.leaf(b0, param_id="b")
-    drive = T.add_bias(T.matmul(tape.leaf(x), T.transpose(w)), b)
-    u = Tensor(np.zeros((3, 2)))
-    terms = []
-    for _ in range(p.t_steps):
-        u, s = lif_step(u, drive, p)
-        terms.append(T.sum_all(T.mul(s, Tensor(np.tile(c, (3, 1))))))
+    spikes = T.split_rows(lif_layer([T.linear(tape.leaf(x), w, b)], p), p.t_steps)
+    terms = [T.sum_all(T.mul(s, Tensor(np.tile(c, (3, 1))))) for s in spikes]
     loss = terms[0]
     for term in terms[1:]:
         loss = T.add(loss, term)
@@ -202,5 +208,45 @@ def test_bptt_matches_hand_unrolled_oracle():
     ref_loss, ref_dw, ref_db = _hand_unrolled_bptt(w0, b0, x, c, p, p.t_steps)
     assert ref_loss > 0.0  # the oracle only bites if spikes actually fire
     assert abs(loss.item() - ref_loss) < 1e-12
+    assert np.max(np.abs(grads["w"].data - ref_dw)) < 1e-10
+    assert np.max(np.abs(grads["b"].data - ref_db)) < 1e-10
+
+
+def test_bptt_per_step_currents_matches_hand_unrolled_oracle():
+    """One input row block per step: each step's current gets its own adjoint."""
+    p = LIFParams(u_th=0.5, tau_m=2.0, t_steps=3, surrogate_width=1.0)
+    rng = np.random.default_rng(8)
+    w0 = rng.standard_normal((4, 3))
+    b0 = 0.1 * rng.standard_normal(4)
+    xs = [rng.standard_normal((5, 3)) for _ in range(p.t_steps)]
+    c = rng.standard_normal(4)
+
+    tape = Tape()
+    w = tape.leaf(w0, param_id="w")
+    b = tape.leaf(b0, param_id="b")
+    currents = [T.linear(tape.leaf(x), w, b) for x in xs]
+    spikes = T.split_rows(lif_layer(currents, p), p.t_steps)
+    loss = T.sum_all(T.mul(T.concat_cols(*spikes[1:]), Tensor(np.tile(np.r_[c, 2 * c], (5, 1)))))
+    loss = T.add(loss, T.sum_all(T.smul(spikes[0], 0.5)))
+    grads = backward(tape, loss)
+
+    weights = [0.5 * np.ones(4), c, 2 * c]
+    u = np.zeros((5, 4))
+    pres, fired = [], []
+    for x in xs:
+        u_pre = p.tau * u + (x @ w0.T + b0)
+        s = (u_pre >= p.u_th).astype(float)
+        u = u_pre * (1.0 - s)
+        pres.append(u_pre)
+        fired.append(s)
+    a_u = np.zeros((5, 4))
+    ref_dw, ref_db = np.zeros_like(w0), np.zeros_like(b0)
+    for t in reversed(range(p.t_steps)):
+        hat = np.maximum(0.0, 1.0 - np.abs(pres[t] - p.u_th) / p.surrogate_width)
+        a_pre = weights[t] * hat + a_u * (1.0 - fired[t])
+        ref_dw += a_pre.T @ xs[t]
+        ref_db += a_pre.sum(axis=0)
+        a_u = p.tau * a_pre
+    assert sum(s.sum() for s in fired) > 0.0 and np.abs(ref_dw).max() > 0.0
     assert np.max(np.abs(grads["w"].data - ref_dw)) < 1e-10
     assert np.max(np.abs(grads["b"].data - ref_db)) < 1e-10

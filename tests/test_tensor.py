@@ -5,7 +5,7 @@ import pytest
 
 import iemf.tensor as T
 from iemf.errors import ContractError, NumericError, ShapeError
-from iemf.neurons import relu
+from iemf.neurons import LIFParams, lif_layer, lif_scan, relu
 from iemf.tensor import (
     GradientSet,
     Tape,
@@ -164,18 +164,22 @@ def test_gradients_match_finite_differences_on_random_nets():
 
 
 def test_kernel_gradients_finite_difference_sweep():
-    """Every differentiable kernel in one composed graph against central differences."""
-    rng = np.random.default_rng(11)
-    a0 = rng.standard_normal((3, 4))
-    b0 = rng.standard_normal((3, 4))
-    bias0 = rng.standard_normal(4)
-    old = rng.standard_normal((3, 2))
+    """Every differentiable kernel in one composed graph against central differences.
 
-    def build(a_val, b_val, bias_val):
+    The LIF layers run where every membrane sits outside the surrogate's
+    support, so their spikes are locally constant and their surrogate
+    gradient is exactly zero, which is what central differences see.
+    """
+    rng = np.random.default_rng(11)
+    vals0 = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((3, 4)),
+             "bias": rng.standard_normal(4), "w": rng.standard_normal((2, 4)),
+             "c": rng.standard_normal(2)}
+    old = rng.standard_normal((3, 2))
+    lif = LIFParams(u_th=3.3, t_steps=3, surrogate_width=1e-3)
+
+    def build(vals):
         tape = Tape()
-        a = tape.leaf(a_val, param_id="a")
-        b = tape.leaf(b_val, param_id="b")
-        bias = tape.leaf(bias_val, param_id="bias")
+        a, b, bias, w, c = (tape.leaf(vals[k], param_id=k) for k in ("a", "b", "bias", "w", "c"))
         m = T.add_bias(T.mul(T.add(a, b), T.sub(a, b)), bias)
         m = T.sadd(T.smul(m, 0.7), 0.3)
         cat = T.concat_cols(m, T.transpose(T.transpose(m)))
@@ -184,20 +188,64 @@ def test_kernel_gradients_finite_difference_sweep():
         kl = T.distill_kl(T.select_cols(cat, [0, 2]), Tensor(old), 2.0)
         loss = T.add(T.sum_all(T.mul(sm, sm)), kl)
         loss = T.add(loss, softmax_cross_entropy(sel, [0, 3, 2])[0])
-        return tape, loss
+        lin = T.linear(m, w, c)
+        rows = T.split_rows(lin, 3)
+        per_step = lif_layer(rows, lif)
+        shared = T.split_rows(lif_layer([lin], lif), lif.t_steps)
+        loss = T.add(loss, T.sum_all(T.mul(rows[2], rows[0])))
+        loss = T.add(loss, T.sum_all(T.mul(per_step, lin)))
+        loss = T.add(loss, T.sum_all(T.mul(shared[1], T.smul(lin, 1.5))))
+        return tape, loss, lin
 
-    tape, loss = build(a0, b0, bias0)
+    tape, loss, lin = build(vals0)
     grads = backward(tape, loss)
     assert replay_forward(tape)
-    for name, val in (("a", a0), ("b", b0), ("bias", bias0)):
+    assert {n.op for n in tape.nodes} >= {"linear", "row_slice", "lif_layer"}
+    for currents in ([lin.data], [lin.data[i:i + 1] for i in range(3)]):
+        steps = lif_scan(currents, lif)
+        assert 0.0 < np.mean([spike.mean() for _, _, spike, _ in steps]) < 1.0
+        assert min(np.abs(shifted).min() for _, shifted, _, _ in steps) > 10 * lif.surrogate_width
+    for name, val in vals0.items():
         def loss_of(v, _name=name):
-            vals = {"a": a0, "b": b0, "bias": bias0}
-            vals[_name] = v
-            return build(vals["a"], vals["b"], vals["bias"])[1].item()
+            return build({**vals0, _name: v})[1].item()
 
         fd = _finite_difference(loss_of, val.copy())
         err = np.abs(grads[name].data - fd) / np.maximum(1e-6, np.abs(fd))
         assert np.max(err) < 1e-6, f"{name}: {np.max(err)}"
+
+
+def test_linear_is_bit_identical_to_the_composed_affine_map():
+    rng = np.random.default_rng(12)
+    x0, w0, b0 = rng.standard_normal((5, 3)), rng.standard_normal((4, 3)), rng.standard_normal(4)
+    weights = Tensor(rng.standard_normal((5, 4)))
+    runs = []
+    for fused in (True, False):
+        tape = Tape()
+        x, w, b = (tape.leaf(v, param_id=k) for k, v in (("x", x0), ("w", w0), ("b", b0)))
+        out = T.linear(x, w, b) if fused else T.add_bias(T.matmul(x, T.transpose(w)), b)
+        grads = backward(tape, T.sum_all(T.mul(out, weights)))
+        runs.append((out.data, {k: grads[k].data for k in grads}, len(tape)))
+    (fused_out, fused_grads, fused_nodes), (out, grads, nodes) = runs
+    assert np.array_equal(fused_out, out)
+    for k in grads:
+        assert np.array_equal(fused_grads[k], grads[k])
+    assert nodes - fused_nodes == 2
+    with pytest.raises(ShapeError):
+        T.linear(Tensor(np.zeros((5, 3))), Tensor(np.zeros((4, 2))), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError):
+        T.linear(Tensor(np.zeros((5, 3))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
+
+
+def test_split_rows_blocks_and_gradient():
+    tape = Tape()
+    x = tape.leaf(np.arange(12, dtype=float).reshape(6, 2), param_id="x")
+    parts = T.split_rows(x, 3)
+    assert [p.data.tolist() for p in parts] == [[[0, 1], [2, 3]], [[4, 5], [6, 7]],
+                                                [[8, 9], [10, 11]]]
+    grads = backward(tape, T.add(T.sum_all(parts[0]), T.sum_all(T.smul(parts[2], 3.0))))
+    assert np.array_equal(grads["x"].data, [[1, 1], [1, 1], [0, 0], [0, 0], [3, 3], [3, 3]])
+    with pytest.raises(ShapeError):
+        T.split_rows(x, 4)
 
 
 def test_detach_blocks_gradient():
