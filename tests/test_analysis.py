@@ -1,5 +1,6 @@
 """Contraction recursion, sharpness estimation, loss slices, cost metric, Hessian."""
 
+import hashlib
 import sys
 
 import numpy as np
@@ -20,6 +21,8 @@ from iemf.analysis import (
 from iemf.data import DataSpec, generate
 from iemf.errors import ContractError
 from iemf.model import ModelConfig, init_model
+from iemf.neurons import LIFParams
+from iemf.training import OptimConfig, train
 
 
 def quadratic(lams, seed=None):
@@ -155,6 +158,48 @@ def test_model_sharpness_fusion_block_only_moves_fusion():
     assert report.increase >= 0.0 or abs(report.increase) < 1e-9
     full = sharpness(model, ds, ball_radius=0.3, n_probes=2, ascent_steps=3, seed=0, blocks="all")
     assert full.n_probes == 2 and full.ball_radius == 0.3
+
+
+# SHA-256 of per_probe + [base_loss, increase], little-endian float64, of a
+# small trained model's sharpness (2 probes x 3 ascent steps), per neuron mode,
+# head mode and perturbed block
+GOLDEN_SHARPNESS = {
+    ("continuous", "probe_detached", "fusion"):
+        "ab857b26b84139966f6091bb22783273c919d40df2d186e6822f1b2b07a7fca6",
+    ("continuous", "probe_detached", "all"):
+        "ff397aef4c8bfb63e591701f68318db2acfd8697a03393caf5c624cd3a05557e",
+    ("continuous", "joint", "fusion"):
+        "b6d23d9b2398d8faca306cd4cce84f412e87553e31fc5c8cc8fbc30b7b4ef284",
+    ("continuous", "joint", "all"):
+        "9351e8e157a974ad6102594303d6f641c0801e91c2ac1c1aab721c21a3de28c9",
+    ("spiking", "probe_detached", "fusion"):
+        "d8e203793913a8d74903ef17c7dc7abd0ef731b148dd45874f7327a9432e2ed7",
+    ("spiking", "probe_detached", "all"):
+        "f615641193d714cb18d87f75903937fe2b71bfbbe913921bd8a72925d4ba2922",
+    ("spiking", "joint", "fusion"):
+        "8daf7e26083a3f3eddfc181b33025c8557e48dc03c80ead7a5822d3c0c2197d6",
+    ("spiking", "joint", "all"):
+        "9ec92c0e980168fab756a76e3fc4ae21408faeb4a403e2b03ef0d17413c20de0",
+}
+
+
+def _report_digest(report) -> str:
+    values = [*report.per_probe, report.base_loss, report.increase]
+    return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("neuron_mode,head_mode",
+                         sorted({key[:2] for key in GOLDEN_SHARPNESS}))
+def test_sharpness_golden_digests(neuron_mode, head_mode):
+    ds = generate(DataSpec(n_classes=3, d_a=6, d_v=5, train_per_class=8, test_per_class=4, seed=0))
+    model = init_model(ModelConfig(d_in_a=6, d_in_v=5, n_classes=3, hidden=8, latent=6, depth=2,
+                                   neuron_mode=neuron_mode, lif=LIFParams(t_steps=4),
+                                   head_mode=head_mode), 0)
+    model, _, _ = train(ds, model, OptimConfig(eta=5e-2, epochs=3, batch_size=6, seed=0))
+    for blocks in ("fusion", "all"):
+        report = sharpness(model, ds, ball_radius=0.3, n_probes=2, ascent_steps=3, seed=0,
+                           blocks=blocks)
+        assert _report_digest(report) == GOLDEN_SHARPNESS[neuron_mode, head_mode, blocks]
 
 
 # ---------------------------------------------------------------------------
