@@ -4,22 +4,34 @@
 checks the per-eigendirection recursion alpha_i(t+1) = (1 - eta*xi_t*lambda_i)
 * alpha_i(t) step by step (exact for quadratics, whose Hessian is constant).
 `sharpness` estimates the maximal loss increase within a parameter ball via
-random probes refined by projected gradient ascent. `landscape_slice` exports
-a 2-D loss surface along block-normalized random directions, and
-`computational_cost` implements the epochs-to-threshold x FLOPs-per-epoch
-efficiency metric.
+random probes refined by projected gradient ascent; restricted to the fusion
+block, it encodes the batch once per call and evaluates only the fusion layer
+and its criterion after that. `landscape_slice` exports a 2-D loss surface
+along block-normalized random directions, and `computational_cost`
+implements the epochs-to-threshold x FLOPs-per-epoch efficiency metric.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
+from . import tensor as T
 from .errors import ContractError, NumericError
-from .model import Batch, MultimodalModel, forward_full
-from .tensor import Tape, backward
+from .model import (
+    Batch,
+    MultimodalModel,
+    bind_params,
+    forward_full,
+    fused_logits,
+    head_loss_share,
+    probe_logits,
+    step_latents,
+)
+from .tensor import Tape, Tensor, backward, softmax_cross_entropy
 from .util import (
     STREAM_CONTRACTION,
     STREAM_LANDSCAPE,
@@ -50,6 +62,10 @@ def _as_batch(data) -> Batch:
     return data.train if hasattr(data, "train") else data
 
 
+def _fusion_spans(spans):
+    return [span for span in spans if MultimodalModel.group_of(span[0]) == "fusion"]
+
+
 def model_objective(model: MultimodalModel, data):
     """(loss_fn, grad_fn, w0, spans) for the full training objective on a batch.
 
@@ -60,12 +76,21 @@ def model_objective(model: MultimodalModel, data):
     detached heads make the training gradient field non-conservative, which
     would break Hessian symmetry and exact ascent. The loss values themselves
     are identical either way.
+
+    `loss_fn(w, block="fusion")` and `grad_fn(w, block="fusion")` take the
+    fusion sub-vector (the fusion spans in order) with every other parameter
+    held at w0. That mode encodes once: the per-step latents and the head-loss
+    share are computed on its first call and reused, and each evaluation runs
+    only the fusion layer and the fused criterion, on a tape that holds only
+    the fusion parameters. Its values equal the full-vector path's bit for bit.
     """
     batch = _as_batch(data)
     work = model.clone()
     work.cfg = replace(work.cfg, head_mode="joint")
     spans = param_spans(work)
     w0 = flatten_params(work)
+    fusion = _fusion_spans(spans)
+    fixed = {}
 
     def at(w: np.ndarray) -> MultimodalModel:
         point = copy.copy(work)
@@ -73,14 +98,35 @@ def model_objective(model: MultimodalModel, data):
                         for pid, start, stop, shape in spans}
         return point
 
-    def loss_fn(w: np.ndarray) -> float:
-        return forward_full(batch, at(w), tape=None).loss.item()
+    def fusion_loss(ws: np.ndarray, tape: Tape | None, block: str):
+        if block != "fusion":
+            raise ContractError(f"block must be 'fusion' or 'all', got {block!r}")
+        if not fixed:
+            leaves = bind_params(work, None)
+            steps = step_latents(batch, work, leaves)
+            heads = [softmax_cross_entropy(probe_logits(s, name, work, leaves), batch.y)[0]
+                     for s, name in zip(steps, ("head_a", "head_v"))]
+            fixed.update(steps=steps, head=head_loss_share(*heads, work.cfg))
+        leaves, offset = {}, 0
+        for pid, start, stop, shape in fusion:
+            arr = ws[offset:offset + stop - start].reshape(shape).copy()
+            leaves[pid] = Tensor(arr) if tape is None else tape.leaf(arr, param_id=pid)
+            offset += stop - start
+        loss_av, _ = softmax_cross_entropy(fused_logits(*fixed["steps"], work, leaves), batch.y)
+        return T.add(loss_av, fixed["head"])
 
-    def grad_fn(w: np.ndarray) -> np.ndarray:
+    def loss_fn(w: np.ndarray, *, block: str = "all") -> float:
+        if block == "all":
+            return forward_full(batch, at(w), tape=None).loss.item()
+        return fusion_loss(w, None, block).item()
+
+    def grad_fn(w: np.ndarray, *, block: str = "all") -> np.ndarray:
         tape = Tape()
-        out = forward_full(batch, at(w), tape)
-        grads = backward(tape, out.loss)
-        return np.concatenate([grads[pid].data.reshape(-1) for pid, _, _, _ in spans])
+        if block == "all":
+            grads = backward(tape, forward_full(batch, at(w), tape).loss)
+            return np.concatenate([grads[pid].data.reshape(-1) for pid, _, _, _ in spans])
+        grads = backward(tape, fusion_loss(w, tape, block))
+        return np.concatenate([grads[pid].data.reshape(-1) for pid, _, _, _ in fusion])
 
     return loss_fn, grad_fn, w0, spans
 
@@ -243,31 +289,16 @@ def sharpness(model: MultimodalModel, data, ball_radius: float, n_probes: int = 
     """Sharpness of the training objective around the model's parameters.
 
     blocks="fusion" perturbs the fusion layer only (the quantity the
-    modulation theory speaks about); blocks="all" perturbs every parameter.
+    modulation theory speaks about) and runs the encoders once per call, through
+    the objective's fusion mode; blocks="all" perturbs every parameter.
     """
     if blocks not in ("fusion", "all"):
         raise ContractError("blocks must be 'fusion' or 'all'")
     loss_fn, grad_fn, w0, spans = model_objective(model, data)
-    if blocks == "all":
-        return sharpness_of(loss_fn, grad_fn, w0, ball_radius, n_probes, ascent_steps, seed)
-    idx = np.concatenate([
-        np.arange(start, stop)
-        for pid, start, stop, _ in spans
-        if MultimodalModel.group_of(pid) == "fusion"
-    ])
-
-    def sub_loss(ws: np.ndarray) -> float:
-        w = w0.copy()
-        w[idx] = ws
-        return loss_fn(w)
-
-    def sub_grad(ws: np.ndarray) -> np.ndarray:
-        w = w0.copy()
-        w[idx] = ws
-        return grad_fn(w)[idx]
-
-    return sharpness_of(sub_loss, sub_grad, w0[idx].copy(), ball_radius, n_probes,
-                        ascent_steps, seed)
+    if blocks == "fusion":
+        w0 = np.concatenate([w0[start:stop] for _, start, stop, _ in _fusion_spans(spans)])
+    return sharpness_of(partial(loss_fn, block=blocks), partial(grad_fn, block=blocks), w0,
+                        ball_radius, n_probes, ascent_steps, seed)
 
 
 # ---------------------------------------------------------------------------

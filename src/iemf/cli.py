@@ -10,6 +10,7 @@ defaults actually used.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import asdict, astuple, fields
@@ -207,14 +208,23 @@ def _read_metrics_curve(path: str) -> tuple[list[float], float]:
         epoch_col = header.index("epoch")
     except ValueError as exc:
         raise ConfigError(f"{path}: metrics file is missing column {exc}") from exc
+
+    def finite(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {text!r}")
+        return value
+
     errors = []
     omega = None
     for n, ln in lines[1:]:
         cells = ln.split(",")
         try:
-            errors.append(1.0 - float(cells[acc_col]))
+            errors.append(1.0 - finite(cells[acc_col]))
             if omega is None:
-                omega = float(cells[flops_col]) / float(cells[epoch_col])
+                omega = finite(cells[flops_col]) / finite(cells[epoch_col])
+                if not math.isfinite(omega):
+                    raise ValueError("FLOPs per epoch overflow")
         except (ValueError, IndexError, ZeroDivisionError) as exc:
             raise FormatError(f"{path}:{n}: malformed metrics row ({exc})") from exc
     return errors, float(omega)

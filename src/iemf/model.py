@@ -209,17 +209,14 @@ def _step_mean(steps: list[Tensor]) -> Tensor:
     return T.mean_tensors([Tensor(s.data) for s in steps])
 
 
-def network_logits(batch: Batch, model: MultimodalModel, tape: Tape | None = None):
-    """Latents plus the three logit sets (fused, audio probe, visual probe).
+def step_latents(batch: Batch, model: MultimodalModel,
+                 leaves: dict[str, Tensor]) -> tuple[list[Tensor], list[Tensor]]:
+    """Per-step encoder latents of both modalities (audio, visual).
 
-    Each encoder yields one latent per step: a single one in continuous mode,
-    the spike train in spiking mode. The fusion layer and the probe heads read
-    every step and their logits are averaged over the steps; the returned
-    latents are the step averages (the firing rates in spiking mode), which
-    no loss reads, so they are computed off the tape.
+    One step in continuous mode; the last layer's spike train, one latent per
+    step, in spiking mode.
     """
     cfg = model.cfg
-    leaves = bind_params(model, tape)
     _check_input_widths(batch, cfg)
 
     def latents(x: Tensor, modality: str) -> list[Tensor]:
@@ -228,15 +225,46 @@ def network_logits(batch: Batch, model: MultimodalModel, tape: Tape | None = Non
             return [_encode_continuous(x, layers)]
         return _encode_spiking(x, layers, cfg.lif)
 
-    def head(latent: Tensor, name: str) -> Tensor:
-        inp = T.detach(latent) if cfg.head_mode == "probe_detached" else latent
-        return T.linear(inp, leaves[f"{name}.W"], leaves[f"{name}.b"])
+    return latents(batch.x_a, "a"), latents(batch.x_v, "v")
 
-    sa, sv = latents(batch.x_a, "a"), latents(batch.x_v, "v")
-    logits_av = T.mean_tensors([fuse_concat(a, v, model, leaves) for a, v in zip(sa, sv)])
-    logits_a = T.mean_tensors([head(s, "head_a") for s in sa])
-    logits_v = T.mean_tensors([head(s, "head_v") for s in sv])
+
+def fused_logits(steps_a: list[Tensor], steps_v: list[Tensor], model: MultimodalModel,
+                 leaves: dict[str, Tensor]) -> Tensor:
+    """Fusion-layer logits averaged over the steps; reads only the fusion leaves."""
+    return T.mean_tensors([fuse_concat(a, v, model, leaves) for a, v in zip(steps_a, steps_v)])
+
+
+def probe_logits(steps: list[Tensor], name: str, model: MultimodalModel,
+                 leaves: dict[str, Tensor]) -> Tensor:
+    """One probe head's logits averaged over the steps.
+
+    In probe_detached mode the head reads detached latents, so its loss stops
+    at the encoder output.
+    """
+    detached = model.cfg.head_mode == "probe_detached"
+    w, b = leaves[f"{name}.W"], leaves[f"{name}.b"]
+    return T.mean_tensors([T.linear(T.detach(s) if detached else s, w, b) for s in steps])
+
+
+def network_logits(batch: Batch, model: MultimodalModel, tape: Tape | None = None):
+    """Latents plus the three logit sets (fused, audio probe, visual probe).
+
+    The fusion layer and the probe heads read every step of `step_latents`
+    and their logits are averaged over the steps; the returned latents are
+    the step averages (the firing rates in spiking mode), which no loss
+    reads, so they are computed off the tape.
+    """
+    leaves = bind_params(model, tape)
+    sa, sv = step_latents(batch, model, leaves)
+    logits_av = fused_logits(sa, sv, model, leaves)
+    logits_a = probe_logits(sa, "head_a", model, leaves)
+    logits_v = probe_logits(sv, "head_v", model, leaves)
     return _step_mean(sa), _step_mean(sv), logits_av, logits_a, logits_v
+
+
+def head_loss_share(loss_a: Tensor, loss_v: Tensor, cfg: ModelConfig) -> Tensor:
+    """The probe heads' part of the total loss: head_loss_weight * (audio + visual) / 2."""
+    return T.smul(T.add(loss_a, loss_v), 0.5 * cfg.head_loss_weight)
 
 
 def forward_full(batch: Batch, model: MultimodalModel, tape: Tape | None = None,
@@ -252,5 +280,5 @@ def forward_full(batch: Batch, model: MultimodalModel, tape: Tape | None = None,
     loss_av, p_av = fused_loss(logits_av, batch.y)
     loss_a, p_a = head_loss(logits_a, batch.y)
     loss_v, p_v = head_loss(logits_v, batch.y)
-    loss = T.add(loss_av, T.smul(T.add(loss_a, loss_v), 0.5 * model.cfg.head_loss_weight))
+    loss = T.add(loss_av, head_loss_share(loss_a, loss_v, model.cfg))
     return ForwardOutputs(z_a, z_v, logits_av, logits_a, logits_v, p_av, p_a, p_v, loss)

@@ -152,12 +152,54 @@ def test_sharpness_rejects_bad_radius():
 
 
 def test_model_sharpness_fusion_block_only_moves_fusion():
+    """The fusion report is the full objective with every non-fusion parameter held at w0."""
     ds = generate(DataSpec(n_classes=3, d_a=4, d_v=4, train_per_class=6, test_per_class=3, seed=0))
-    model = init_model(ModelConfig(d_in_a=4, d_in_v=4, n_classes=3, hidden=5, latent=4), 0)
-    report = sharpness(model, ds, ball_radius=0.3, n_probes=2, ascent_steps=3, seed=0)
-    assert report.increase >= 0.0 or abs(report.increase) < 1e-9
+    for neuron_mode in ("continuous", "spiking"):
+        model = init_model(ModelConfig(d_in_a=4, d_in_v=4, n_classes=3, hidden=5, latent=4,
+                                       neuron_mode=neuron_mode, lif=LIFParams(t_steps=3)), 0)
+        before = {pid: arr.copy() for pid, arr in model.params.items()}
+        report = sharpness(model, ds, ball_radius=0.3, n_probes=2, ascent_steps=3, seed=0)
+
+        loss_fn, grad_fn, w0, spans = model_objective(model, ds)
+        idx = np.concatenate([np.arange(start, stop) for pid, start, stop, _ in spans
+                              if pid.startswith("fusion.")])
+
+        def sub_loss(ws):
+            w = w0.copy()
+            w[idx] = ws
+            return loss_fn(w)
+
+        def sub_grad(ws):
+            w = w0.copy()
+            w[idx] = ws
+            return grad_fn(w)[idx]
+
+        inline = sharpness_of(sub_loss, sub_grad, w0[idx].copy(), 0.3, n_probes=2,
+                              ascent_steps=3, seed=0)
+        assert report.per_probe == inline.per_probe
+        assert report.base_loss == inline.base_loss == loss_fn(w0)
+        assert report.increase == inline.increase
+        assert model.params.keys() == before.keys()
+        for pid, arr in before.items():
+            assert np.array_equal(model.params[pid], arr)
     full = sharpness(model, ds, ball_radius=0.3, n_probes=2, ascent_steps=3, seed=0, blocks="all")
     assert full.n_probes == 2 and full.ball_radius == 0.3
+
+
+def test_model_objective_fusion_mode_matches_full_vector_and_rejects_other_blocks():
+    ds = generate(DataSpec(n_classes=3, d_a=4, d_v=4, train_per_class=6, test_per_class=3, seed=0))
+    model = init_model(ModelConfig(d_in_a=4, d_in_v=4, n_classes=3, hidden=5, latent=4), 0)
+    loss_fn, grad_fn, w0, spans = model_objective(model, ds)
+    idx = np.concatenate([np.arange(start, stop) for pid, start, stop, _ in spans
+                          if pid.startswith("fusion.")])
+    w = w0.copy()
+    w[idx] += 0.1 * np.random.default_rng(0).standard_normal(idx.size)
+    assert loss_fn(w[idx], block="fusion") == loss_fn(w)
+    assert np.array_equal(grad_fn(w[idx], block="fusion"), grad_fn(w)[idx])
+    with pytest.raises(ContractError):
+        loss_fn(w0[idx], block="heads")
+    with pytest.raises(ContractError):
+        grad_fn(w0[idx], block="heads")
 
 
 # SHA-256 of per_probe + [base_loss, increase], little-endian float64, of a

@@ -10,6 +10,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import iemf.analysis
 import iemf.modulation
 import iemf.training
 from iemf.continual import build_task_stream, train_incremental
@@ -42,3 +43,16 @@ def test_tracer_bindings_record_both_step_paths():
     assert tracer.select("continual.incremental_step")
     assert tracer.select("model.network_logits", "teacher")
     assert tracer.select("training.sgd_step")
+
+
+def test_tracer_times_every_fusion_sharpness_evaluation():
+    """The restricted sharpness path still goes through the names the tracer wraps."""
+    ds = generate(DataSpec(n_classes=3, d_a=4, d_v=4, train_per_class=6, test_per_class=2, seed=0))
+    model = init_model(ModelConfig(d_in_a=4, d_in_v=4, n_classes=3, hidden=5, latent=4), 0)
+    probes, steps = 2, 3
+    tracer = load_spans().Tracer()
+    with tracer.installed():
+        iemf.analysis.sharpness(model, ds, ball_radius=0.3, n_probes=probes, ascent_steps=steps)
+    assert len(tracer.select("analysis.loss_eval")) == 1 + probes * (1 + steps)
+    assert len(tracer.select("analysis.grad_eval")) == probes * steps
+    assert len(tracer.select("tensor.backward", in_step=True)) == probes * steps

@@ -9,6 +9,7 @@ import copy
 import io
 import json
 import os
+import pathlib
 import struct
 import tempfile
 
@@ -45,6 +46,7 @@ def _assert_rejected(argv):
     code, err = _run(argv)
     assert code == 2, err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 def _dump(path, obj):
@@ -173,7 +175,10 @@ def _cost_argv(tmp_path, metrics, labels=None):
     return ["analyze", "cost", "--config", path, "--out", str(tmp_path / "out")]
 
 
-@pytest.mark.parametrize("column,value", [("test_acc", "abc"), ("epoch", "0")])
+@pytest.mark.parametrize("column,value", [
+    ("test_acc", "abc"), ("epoch", "0"), ("test_acc", "nan"), ("test_acc", "inf"),
+    ("flops_cumulative", "-inf"), ("epoch", "nan"), ("epoch", "inf"), ("epoch", "1e-310"),
+])
 def test_broken_metrics_csv_rejected(runs, tmp_path, column, value):
     with open(runs["metrics"], encoding="utf-8") as fh:
         header, row, *rest = fh.read().splitlines()
@@ -181,7 +186,9 @@ def test_broken_metrics_csv_rejected(runs, tmp_path, column, value):
     cells[header.split(",").index(column)] = value
     broken = tmp_path / "broken.csv"
     broken.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
-    _assert_rejected(_cost_argv(tmp_path, [str(broken), runs["metrics"]], ["broken", "good"]))
+    err = _assert_rejected(_cost_argv(tmp_path, [str(broken), runs["metrics"]],
+                                      ["broken", "good"]))
+    assert f"{broken}:2: malformed metrics row" in err
 
 
 def test_duplicate_cost_labels_rejected(tmp_path):
@@ -221,6 +228,7 @@ def _assert_documented_exit(argv):
     code, err = _run(argv)
     assert code in (0, 2, 3, 4)
     assert err.count("\n") <= 1 and "Traceback" not in err, err
+    return code
 
 
 @settings(max_examples=40, deadline=None)
@@ -247,3 +255,58 @@ def test_container_header_leaf_swap_never_crashes(runs, data, value):
         else:
             argv = _sharpness_argv(runs, tmp, mutated)
         _assert_documented_exit(argv)
+
+
+def _strict_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(),
+       text=st.one_of(st.sampled_from(("nan", "-inf", "1e999", "")), st.text(max_size=6)))
+def test_metrics_cell_swap_never_crashes(runs, data, text):
+    with open(runs["metrics"], encoding="utf-8") as fh:
+        header = fh.readline().strip()
+    columns = header.split(",")
+    # two curves with distinct slopes, so the unmutated pair is a valid comparison
+    curves = []
+    for accs in ((0.3, 0.6, 0.9), (0.2, 0.5, 0.7)):
+        rows = []
+        for epoch, acc in enumerate(accs, start=1):
+            values = {"epoch": epoch, "test_acc": acc, "flops_cumulative": 1000 * epoch}
+            rows.append([str(values.get(c, 0.5)) for c in columns])
+        curves.append([columns] + rows)
+    mutated = curves[0]
+    row = data.draw(st.integers(0, len(mutated) - 1))
+    col = data.draw(st.integers(0, len(columns) - 1))
+    mutated[row][col] = text
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, rows in zip(("broken.csv", "good.csv"), curves):
+            paths.append(os.path.join(tmp, name))
+            with open(paths[-1], "w", encoding="utf-8") as fh:
+                fh.write("".join(",".join(r) + "\n" for r in rows))
+        code = _assert_documented_exit(_cost_argv(pathlib.Path(tmp), paths, ["broken", "good"]))
+        if code == 0:  # what was accepted must come out as strict JSON
+            with open(os.path.join(tmp, "out", "cost_report.json"), encoding="utf-8") as fh:
+                json.load(fh, parse_constant=_strict_constant)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(("flip", "truncate", "insert")))
+def test_dataset_bytes_mutation_never_crashes(runs, data, kind):
+    with open(runs["data"], "rb") as fh:
+        blob = bytearray(fh.read())
+    at = data.draw(st.integers(0, len(blob) - 1))
+    if kind == "flip":
+        blob[at] ^= data.draw(st.integers(1, 255))
+    elif kind == "truncate":
+        del blob[at:]
+    else:
+        blob[at:at] = data.draw(st.binary(min_size=1, max_size=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = os.path.join(tmp, "data.iemf")
+        with open(mutated, "wb") as fh:
+            fh.write(blob)
+        _assert_documented_exit(["train", "--config", runs["config"], "--data", mutated,
+                                 "--out", os.path.join(tmp, "out")])
