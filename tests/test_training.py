@@ -1,10 +1,13 @@
 """Optimizer, epoch loop, FLOPs accounting, and reproducibility."""
 
 import hashlib
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from iemf.config import load_config
 from iemf.data import DataSpec, generate
 from iemf.errors import ConfigError
 from iemf.model import ModelConfig, init_model
@@ -39,6 +42,23 @@ GOLDEN_SPIKING = {
     "joint": ("fd9b81a59bf4fb7c1a9f90c03884e2e38221803ed8a04bc3524cb2d22d05221b",
               "5bb59df42ed7f5bd2f4182f87a953281aa84d775e25e94129c6aefea8f9b9adc"),
 }
+
+# The same two digests of a 2-epoch run at the shape of configs/spiking.json
+# (1200 samples in batches of 32, the last one 16 rows), per
+# (head mode, depth, time steps)
+GOLDEN_SPIKING_SHIPPED = {
+    ("joint", 2, 4): ("22303c05edec759ef0b3c0bc5452a5918661a0569e8f6877430d96da4b5fb9ac",
+                      "bd2921cfa70763bc8f458b4f7b9419e1fecd4a66cfd28eb055d5e86a3f5778ca"),
+    ("joint", 3, 3): ("73cd6ab6c035b5dcfd6cba4143645f54c8fcea660a749cfc0e4f9e16a3282ded",
+                      "cbb1c08b461964b9bb4a5fcb469d4ef26e1ba1334b9e195f37f2c5cfc92b2ea6"),
+    ("probe_detached", 2, 4): (
+        "b72b190b4d58d27bbc537780208a40e75ad5d749f094acd2f81a40d803902cc2",
+        "600a3f9666acdc3da960b865836d7a698b3db44637bc83630f4cceadce4548df"),
+    ("probe_detached", 3, 3): (
+        "99f1718c8e57289420cd8cbc49c35f6f3b7b5c80c9d1025ffc0939e058152c0d",
+        "89d01f75d66d4fc29db978f3bbe553ff21f35cd6c231df28d1817241e138576a"),
+}
+SPIKING_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "spiking.json"
 
 
 def small_setup():
@@ -170,6 +190,19 @@ def test_train_spiking_golden_digests(head_mode):
     model, _, trace = train(ds, model, cfg)
     xi_digest, param_digest = GOLDEN_SPIKING[head_mode]
     assert len(trace) == 12  # 3 epochs x 4 batches of 6
+    assert _sha256_f64([[(r.s_unimodal, r.s_multimodal, r.xi) for r in trace]]) == xi_digest
+    assert _sha256_f64([model.params[pid] for pid in sorted(model.params)]) == param_digest
+
+
+@pytest.mark.parametrize("head_mode, depth, t_steps", sorted(GOLDEN_SPIKING_SHIPPED))
+def test_train_spiking_golden_digests_at_shipped_shape(head_mode, depth, t_steps):
+    cfg = load_config(str(SPIKING_CONFIG))
+    model_cfg = replace(cfg.model, head_mode=head_mode, depth=depth,
+                        lif=replace(cfg.model.lif, t_steps=t_steps))
+    model, _, trace = train(generate(cfg.data), init_model(model_cfg, cfg.seed),
+                            replace(cfg.optim, epochs=2))
+    xi_digest, param_digest = GOLDEN_SPIKING_SHIPPED[head_mode, depth, t_steps]
+    assert len(trace) == 76  # 2 epochs x 38 batches, the last of 16 rows
     assert _sha256_f64([[(r.s_unimodal, r.s_multimodal, r.xi) for r in trace]]) == xi_digest
     assert _sha256_f64([model.params[pid] for pid in sorted(model.params)]) == param_digest
 
