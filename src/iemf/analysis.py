@@ -79,10 +79,11 @@ def model_objective(model: MultimodalModel, data):
 
     `loss_fn(w, block="fusion")` and `grad_fn(w, block="fusion")` take the
     fusion sub-vector (the fusion spans in order) with every other parameter
-    held at w0. That mode encodes once: the per-step latents and the head-loss
-    share are computed on its first call and reused, and each evaluation runs
-    only the fusion layer and the fused criterion, on a tape that holds only
-    the fusion parameters. Its values equal the full-vector path's bit for bit.
+    held at w0. That mode encodes once: the concatenated stacked latents and
+    the head-loss share are computed on its first call and reused, and each
+    evaluation runs only the fusion layer and the fused criterion, on a tape
+    that holds only the fusion parameters. Its values equal the full-vector
+    path's bit for bit.
     """
     batch = _as_batch(data)
     work = model.clone()
@@ -103,16 +104,16 @@ def model_objective(model: MultimodalModel, data):
             raise ContractError(f"block must be 'fusion' or 'all', got {block!r}")
         if not fixed:
             leaves = bind_params(work, None)
-            steps = step_latents(batch, work, leaves)
-            heads = [softmax_cross_entropy(probe_logits(s, name, work, leaves), batch.y)[0]
-                     for s, name in zip(steps, ("head_a", "head_v"))]
-            fixed.update(steps=steps, head=head_loss_share(*heads, work.cfg))
+            latents = step_latents(batch, work, leaves)
+            heads = [softmax_cross_entropy(probe_logits(z, name, work, leaves), batch.y)[0]
+                     for z, name in zip(latents, ("head_a", "head_v"))]
+            fixed.update(cat=T.concat_cols(*latents), head=head_loss_share(*heads, work.cfg))
         leaves, offset = {}, 0
         for pid, start, stop, shape in fusion:
             arr = ws[offset:offset + stop - start].reshape(shape).copy()
             leaves[pid] = Tensor(arr) if tape is None else tape.leaf(arr, param_id=pid)
             offset += stop - start
-        loss_av, _ = softmax_cross_entropy(fused_logits(*fixed["steps"], work, leaves), batch.y)
+        loss_av, _ = softmax_cross_entropy(fused_logits(fixed["cat"], work, leaves), batch.y)
         return T.add(loss_av, fixed["head"])
 
     def loss_fn(w: np.ndarray, *, block: str = "all") -> float:

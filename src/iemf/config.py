@@ -102,10 +102,13 @@ class ExperimentConfig:
         return self.model
 
     def resolved(self) -> dict:
-        """The configuration as it ran; the model widths are echoed under `data`."""
+        """The configuration as it ran, in the layout `from_dict` reads back."""
         out = asdict(self)
         for width in _WIDTHS:
             del out["model"][width]
+        optim = out["optim"]
+        out["iemf"] = optim.pop("iemf")
+        optim["mslr"] = {k: optim.pop(k) for k in ("mult_a", "mult_v")}
         return out
 
 

@@ -9,6 +9,8 @@ outputs, in ``joint`` mode they train the encoders too.
 
 Spiking mode injects the same input current at every step (direct coding) and
 decodes by averaging the fusion-layer output over the steps (rate decoding).
+Every layer runs all T steps as one tape node over the stacked (T*B, N) rows,
+step t in rows t*B to (t+1)*B; continuous mode is the one-step case.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ class ModelConfig:
             raise ConfigError(f"head_mode must be one of {HEAD_MODES}")
         if self.head_loss_weight < 0.0:
             raise ConfigError("head_loss_weight must be non-negative")
+
+    @property
+    def steps(self) -> int:
+        """Time steps stacked in every layer's rows: T in spiking mode, else 1."""
+        return self.lif.t_steps if self.neuron_mode == "spiking" else 1
 
     def encoder_widths(self, modality: str) -> list[int]:
         d_in = self.d_in_a if modality == "a" else self.d_in_v
@@ -170,30 +177,31 @@ def _encode_continuous(x: Tensor, layers: list[tuple[Tensor, Tensor]]) -> Tensor
     return z
 
 
-def _encode_spiking(x: Tensor, layers: list[tuple[Tensor, Tensor]], lif: LIFParams) -> list[Tensor]:
-    """T-step LIF stack, one node per layer; returns the last layer's spikes per step.
+def _encode_spiking(x: Tensor, layers: list[tuple[Tensor, Tensor]], lif: LIFParams) -> Tensor:
+    """T-step LIF stack, one node per layer; returns the last layer's stacked spikes.
 
     The first layer's drive is the affine image of the input, identical at
     every step, so it is computed once and shared by every step.
     """
     (w0, b0), *deeper = layers
-    spikes = lif_layer([T.linear(x, w0, b0)], lif)
+    spikes = lif_layer(T.linear(x, w0, b0), lif)
     for w, b in deeper:
-        spikes = lif_layer([T.linear(s, w, b) for s in T.split_rows(spikes, lif.t_steps)], lif)
-    return T.split_rows(spikes, lif.t_steps)
+        spikes = lif_layer(T.linear(spikes, w, b, lif.t_steps), lif, lif.t_steps)
+    return spikes
 
 
 def fuse_concat(z_a: Tensor, z_v: Tensor, model: MultimodalModel,
                 leaves: dict[str, Tensor] | None = None) -> Tensor:
-    """Class logits from the concatenated latents: W_f [z_a ; z_v] + b_f."""
+    """Class logits from the concatenated latents, W_f [z_a ; z_v] + b_f,
+    averaged over the stacked steps."""
     if leaves is None:
         leaves = bind_params(model, None)
-    w, b = leaves["fusion.W"], leaves["fusion.b"]
-    if z_a.shape[1] + z_v.shape[1] != w.shape[1]:
+    width = leaves["fusion.W"].shape[1]
+    if z_a.shape[1] + z_v.shape[1] != width:
         raise ShapeError(
-            f"fusion expects latent widths summing to {w.shape[1]}, got {z_a.shape[1]}+{z_v.shape[1]}"
+            f"fusion expects latent widths summing to {width}, got {z_a.shape[1]}+{z_v.shape[1]}"
         )
-    return T.linear(T.concat_cols(z_a, z_v), w, b)
+    return fused_logits(T.concat_cols(z_a, z_v), model, leaves)
 
 
 def _check_input_widths(batch: Batch, cfg: ModelConfig) -> None:
@@ -204,46 +212,48 @@ def _check_input_widths(batch: Batch, cfg: ModelConfig) -> None:
         )
 
 
-def _step_mean(steps: list[Tensor]) -> Tensor:
-    """The step average of untraced copies, so it records nothing on the tape."""
-    return T.mean_tensors([Tensor(s.data) for s in steps])
+def _rates(z: Tensor, steps: int) -> Tensor:
+    """The step average of an untraced copy, so it records nothing on the tape."""
+    return T.step_mean(Tensor(z.data), steps)
 
 
 def step_latents(batch: Batch, model: MultimodalModel,
-                 leaves: dict[str, Tensor]) -> tuple[list[Tensor], list[Tensor]]:
-    """Per-step encoder latents of both modalities (audio, visual).
+                 leaves: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
+    """Stacked per-step encoder latents of both modalities (audio, visual).
 
-    One step in continuous mode; the last layer's spike train, one latent per
-    step, in spiking mode.
+    One step in continuous mode; the last layer's (T*B, N) spike train in
+    spiking mode.
     """
     cfg = model.cfg
     _check_input_widths(batch, cfg)
 
-    def latents(x: Tensor, modality: str) -> list[Tensor]:
+    def latents(x: Tensor, modality: str) -> Tensor:
         layers = [(leaves[w_id], leaves[b_id]) for w_id, b_id in model.encoder_param_ids(modality)]
         if cfg.neuron_mode == "continuous":
-            return [_encode_continuous(x, layers)]
+            return _encode_continuous(x, layers)
         return _encode_spiking(x, layers, cfg.lif)
 
     return latents(batch.x_a, "a"), latents(batch.x_v, "v")
 
 
-def fused_logits(steps_a: list[Tensor], steps_v: list[Tensor], model: MultimodalModel,
-                 leaves: dict[str, Tensor]) -> Tensor:
-    """Fusion-layer logits averaged over the steps; reads only the fusion leaves."""
-    return T.mean_tensors([fuse_concat(a, v, model, leaves) for a, v in zip(steps_a, steps_v)])
+def fused_logits(cat: Tensor, model: MultimodalModel, leaves: dict[str, Tensor]) -> Tensor:
+    """Fusion-layer logits of the stacked concatenated latents, averaged over
+    the steps; reads only the fusion leaves."""
+    steps = model.cfg.steps
+    return T.step_mean(T.linear(cat, leaves["fusion.W"], leaves["fusion.b"], steps), steps)
 
 
-def probe_logits(steps: list[Tensor], name: str, model: MultimodalModel,
+def probe_logits(z: Tensor, name: str, model: MultimodalModel,
                  leaves: dict[str, Tensor]) -> Tensor:
-    """One probe head's logits averaged over the steps.
+    """One probe head's logits of the stacked latents, averaged over the steps.
 
     In probe_detached mode the head reads detached latents, so its loss stops
     at the encoder output.
     """
-    detached = model.cfg.head_mode == "probe_detached"
-    w, b = leaves[f"{name}.W"], leaves[f"{name}.b"]
-    return T.mean_tensors([T.linear(T.detach(s) if detached else s, w, b) for s in steps])
+    steps = model.cfg.steps
+    if model.cfg.head_mode == "probe_detached":
+        z = T.detach(z)
+    return T.step_mean(T.linear(z, leaves[f"{name}.W"], leaves[f"{name}.b"], steps), steps)
 
 
 def network_logits(batch: Batch, model: MultimodalModel, tape: Tape | None = None):
@@ -255,11 +265,12 @@ def network_logits(batch: Batch, model: MultimodalModel, tape: Tape | None = Non
     reads, so they are computed off the tape.
     """
     leaves = bind_params(model, tape)
-    sa, sv = step_latents(batch, model, leaves)
-    logits_av = fused_logits(sa, sv, model, leaves)
-    logits_a = probe_logits(sa, "head_a", model, leaves)
-    logits_v = probe_logits(sv, "head_v", model, leaves)
-    return _step_mean(sa), _step_mean(sv), logits_av, logits_a, logits_v
+    za, zv = step_latents(batch, model, leaves)
+    logits_av = fuse_concat(za, zv, model, leaves)
+    logits_a = probe_logits(za, "head_a", model, leaves)
+    logits_v = probe_logits(zv, "head_v", model, leaves)
+    steps = model.cfg.steps
+    return _rates(za, steps), _rates(zv, steps), logits_av, logits_a, logits_v
 
 
 def head_loss_share(loss_a: Tensor, loss_v: Tensor, cfg: ModelConfig) -> Tensor:

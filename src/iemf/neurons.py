@@ -8,17 +8,18 @@ A LIF step runs accumulation, spike firing, and hard reset in that order:
 
 A layer runs all T steps from a zero membrane as one tape node (the
 multi-step mode of SpikingJelly, Fang et al. 2023): `lif_layer` takes one
-shared drive or one current per step and returns the stacked (T*B, N) spike
-train. Its backward is explicit backpropagation through time over the
-membrane. The Heaviside uses a piecewise-linear hat of configurable
-half-width centred on the threshold. The reset factor (1 - spike) is held
+shared (B, N) drive or the stacked (T*B, N) per-step currents and returns the
+stacked (T*B, N) spike train, step t in rows t*B to (t+1)*B. The node keeps
+the forward's u_pre - u_th trace, so its backward, explicit backpropagation
+through time over the membrane, does not run the dynamics again. The
+Heaviside uses a piecewise-linear hat of configurable half-width centred on
+the threshold. The reset factor (1 - spike) is held
 constant, so credit flows through the membrane potential only;
 differentiating the reset as well would count the surrogate twice.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,55 +58,61 @@ def _hat(x: np.ndarray, width: float) -> np.ndarray:
     return np.maximum(0.0, 1.0 - np.abs(x) / width)
 
 
-def lif_scan(currents: Sequence[np.ndarray], p: LIFParams) -> list[tuple[np.ndarray, ...]]:
-    """The LIF dynamics from a zero membrane, one (u_pre, u_pre - u_th, spike,
-    1 - spike) tuple per step. One current is a drive shared by every step;
-    otherwise there is one current per step."""
+def lif_scan(current: np.ndarray, p: LIFParams, steps: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The LIF dynamics from a zero membrane: the stacked (T*B, N) spikes and
+    u_pre - u_th. `current` is one (B, N) drive shared by every step (`steps`
+    1) or the stacked per-step currents (`steps` T)."""
     tau, shift = p.tau, -p.u_th
-    u = np.zeros_like(currents[0])
-    steps = []
+    rows = current.shape[0] // steps
+    spikes = np.empty((rows * p.t_steps, current.shape[1]))
+    shifted = np.empty_like(spikes)
+    u = np.zeros_like(current[:rows])
     for t in range(p.t_steps):
-        u_pre = u * tau + currents[0 if len(currents) == 1 else t]
-        shifted = u_pre + shift
-        spike = np.where(shifted >= 0.0, 1.0, 0.0)
-        keep = spike * -1.0 + 1.0
-        u = u_pre * keep
-        steps.append((u_pre, shifted, spike, keep))
-    return steps
+        blk = slice(t * rows, (t + 1) * rows)
+        u = u * tau + (current if steps == 1 else current[blk])
+        fired = np.add(u, shift, out=shifted[blk]) >= 0.0
+        spikes[blk] = fired
+        u[fired] = 0.0  # the hard reset u_pre * (1 - spike), exact since u_pre >= u_th > 0
+    return spikes, shifted
 
 
-def _lif_forward(ins, p: LIFParams) -> np.ndarray:
-    steps = lif_scan(ins, p)
-    # with finite currents, a non-finite membrane at any step stays non-finite
-    if not np.isfinite(steps[-1][0]).all():
+def _lif_forward(ins, aux):
+    """The stacked spike train, and the stacked u_pre - u_th the backward reads."""
+    p, steps = aux
+    spikes, shifted = lif_scan(ins[0], p, steps)
+    # with finite currents, the first non-finite membrane shows in its u_pre - u_th
+    if not np.isfinite(shifted).all():
         raise NumericError("non-finite values produced by lif_layer")
-    return np.concatenate([spike for _, _, spike, _ in steps], axis=0)
+    return spikes, shifted
 
 
-def _lif_backward(g, out, ins, p: LIFParams):
+def _lif_backward(g, out, ins, aux, shifted):
     """BPTT over the membrane with the reset held constant.
 
     The membrane adjoint of step t is a_u * (1 - spike_t) + g_t * hat, and
     a_u = tau times that for step t - 1. A shared drive sums the per-step
     gradients from the last step down, as a tape of single steps would.
     """
-    rows = ins[0].shape[0]
-    tau, width = p.tau, p.surrogate_width
-    steps = lif_scan(ins, p)
-    grads: list[np.ndarray] = [None] * len(steps)
+    p, steps = aux
+    rows = out.shape[0] // p.t_steps
+    tau = p.tau
+    g_hat = g * _hat(shifted, p.surrogate_width)
+    keep = out * -1.0 + 1.0
+    grads = np.empty_like(g)
     a_u = None
-    for t in range(len(steps) - 1, -1, -1):
-        _, shifted, _, keep = steps[t]
-        g_pre = g[t * rows:(t + 1) * rows] * _hat(shifted, width)
-        d = g_pre if a_u is None else (a_u * keep) + g_pre
-        grads[t] = d
+    for t in range(p.t_steps - 1, -1, -1):
+        blk = slice(t * rows, (t + 1) * rows)
+        if a_u is None:
+            grads[blk] = g_hat[blk]
+        else:
+            np.add(a_u * keep[blk], g_hat[blk], out=grads[blk])
         if t > 0:
-            a_u = d * tau
-    if len(ins) > 1:
-        return grads
-    drive = grads[-1]
-    for d in grads[-2::-1]:
-        drive = drive + d
+            a_u = grads[blk] * tau
+    if steps > 1:
+        return [grads]
+    drive = grads[-rows:]
+    for t in range(p.t_steps - 2, -1, -1):
+        drive = drive + grads[t * rows:(t + 1) * rows]
     return [drive]
 
 
@@ -114,7 +121,7 @@ register_op(
     lambda ins, aux: np.maximum(0.0, ins[0]),
     lambda g, out, ins, aux: [g * (ins[0] > 0.0)],
 )
-register_op("lif_layer", _lif_forward, _lif_backward)
+register_op("lif_layer", _lif_forward, _lif_backward, saves=True)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -122,17 +129,15 @@ def relu(x: Tensor) -> Tensor:
     return T._apply("relu", (T.as_tensor(x),))
 
 
-def lif_layer(currents: Sequence[Tensor], p: LIFParams) -> Tensor:
+def lif_layer(current: Tensor, p: LIFParams, steps: int = 1) -> Tensor:
     """All `p.t_steps` steps of one LIF layer from a zero membrane, as one node.
 
-    `currents` holds either one (B, N) drive injected at every step or one
-    (B, N) current per step. Returns the stacked (T*B, N) spike train; step t
-    is rows t*B to (t+1)*B (see `tensor.split_rows`).
+    `current` is either one (B, N) drive injected at every step (`steps` 1)
+    or the stacked (T*B, N) per-step currents (`steps` equal to
+    `p.t_steps`), step t in rows t*B to (t+1)*B. Returns the stacked
+    (T*B, N) spike train in the same layout.
     """
-    currents = [T.as_tensor(c) for c in currents]
-    if len(currents) not in (1, p.t_steps):
-        raise ShapeError(f"need 1 or {p.t_steps} input currents, got {len(currents)}")
-    shape = currents[0].shape
-    if len(shape) != 2 or any(c.shape != shape for c in currents):
-        raise ShapeError(f"input currents must share one 2-D shape, got {[c.shape for c in currents]}")
-    return T._apply("lif_layer", currents, p)
+    current = T.as_tensor(current)
+    if steps not in (1, p.t_steps):
+        raise ShapeError(f"need 1 or {p.t_steps} stacked input steps, got {steps}")
+    return T._apply("lif_layer", (current,), (p, T._check_steps(current, steps, "lif_layer")))

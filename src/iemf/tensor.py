@@ -4,7 +4,9 @@ The tape is append-only, so recording order doubles as topological order.
 Every node caches its forward value; `replay_forward` recomputes the whole
 recording and certifies bit-identical results. Operations registered through
 `register_op` (see `neurons` for the spiking kernels) are replayable and
-differentiable like the built-ins.
+differentiable like the built-ins. An op registered with `saves=True` keeps
+one extra forward result on its node for its backward rule; replay compares
+values only.
 
 Every value is checked for finiteness once: op outputs in `_apply`, raw
 arrays where they enter through `Tensor(...)` or `Tape.leaf`, and parameter
@@ -13,6 +15,11 @@ without a second check.
 
 Shape rules are deliberately narrow: the only broadcast is the bias-row add,
 in `add_bias` and in the fused affine map `linear`.
+
+A T-step spiking layer runs its steps as one node over the stacked (T*B, N)
+rows, step t in rows t*B to (t+1)*B (the multi-step mode of SpikingJelly's
+`SeqToANNContainer`): `linear` and `step_mean` take that step count, and
+their results equal the per-step composition bit for bit.
 """
 
 from __future__ import annotations
@@ -87,27 +94,32 @@ class Node:
     value: Array
     aux: Any = None
     param_id: str | None = None
+    saved: Any = None
 
 
-# forward(input_values, aux) -> value, a C-contiguous float64 array;
-# backward(out_grad, out_value, input_values, aux) -> one gradient (or None) per input.
-ForwardRule = Callable[[list[Array], Any], Array]
-BackwardRule = Callable[[Array, Array, list[Array], Any], list[Array | None]]
+# forward(input_values, aux) -> value, a C-contiguous float64 array, or
+# (value, saved) for an op registered with saves=True;
+# backward(out_grad, out_value, input_values, aux[, saved]) -> one gradient
+# (or None) per input.
+ForwardRule = Callable[[list[Array], Any], Any]
+BackwardRule = Callable[..., list[Array | None]]
 
 
 @dataclass(frozen=True)
 class OpRule:
     forward: ForwardRule
     backward: BackwardRule
+    saves: bool = False
 
 
 _OPS: dict[str, OpRule] = {}
 
 
-def register_op(name: str, forward: ForwardRule, backward: BackwardRule) -> None:
+def register_op(name: str, forward: ForwardRule, backward: BackwardRule,
+                saves: bool = False) -> None:
     if name in _OPS:
         raise ContractError(f"operation {name!r} is already registered")
-    _OPS[name] = OpRule(forward, backward)
+    _OPS[name] = OpRule(forward, backward, saves)
 
 
 class Tape:
@@ -126,7 +138,8 @@ class Tape:
         return Tensor._checked(arr, self, nid)
 
 
-def _record(op: str, operands: Sequence[Tensor], value: Array, aux: Any = None) -> Tensor:
+def _record(op: str, operands: Sequence[Tensor], value: Array, aux: Any = None,
+            saved: Any = None) -> Tensor:
     tape = None
     for t in operands:
         if t.tape is not None:
@@ -141,14 +154,17 @@ def _record(op: str, operands: Sequence[Tensor], value: Array, aux: Any = None) 
         for t in operands
     )
     nid = len(tape.nodes)
-    tape.nodes.append(Node(op, ids, value, aux))
+    tape.nodes.append(Node(op, ids, value, aux, None, saved))
     return Tensor._checked(value, tape, nid)
 
 
 def _apply(op: str, operands: Sequence[Tensor], aux: Any = None) -> Tensor:
-    value = _OPS[op].forward([t.data for t in operands], aux)
+    rule = _OPS[op]
+    value, saved = rule.forward([t.data for t in operands], aux), None
+    if rule.saves:
+        value, saved = value
     _require_finite(value, op)
-    return _record(op, operands, value, aux)
+    return _record(op, operands, value, aux, saved)
 
 
 def as_tensor(x) -> Tensor:
@@ -215,27 +231,37 @@ def add_bias(m: Tensor, bias: Tensor) -> Tensor:
     return _apply("add_bias", (m, bias))
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def _check_steps(a: Tensor, steps: int, where: str) -> int:
+    steps = int(steps)
+    if a.data.ndim != 2 or steps < 1 or a.shape[0] % steps != 0:
+        raise ShapeError(f"{where}: cannot split {a.shape} into {steps} equal row blocks")
+    return steps
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor, steps: int = 1) -> Tensor:
     """Affine map x W^T + b: (B,K) rows through (N,K) weights plus an (N,) bias row.
 
-    One node evaluating exactly what `add_bias(matmul(x, transpose(w)), b)`
-    evaluates, forward and backward, so the results are bit-identical.
+    `x` stacks `steps` equal row blocks, one per time step. One node whose
+    forward and backward evaluate exactly what the per-block composition of
+    `add_bias(matmul(x_t, transpose(w)), b)` does, so the results are
+    bit-identical: every product runs block by block, and the backward sums
+    the weight and bias gradients from the last block down, in the order the
+    tape would add them.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
         raise ShapeError(f"linear needs (B,K), (N,K), (N,), got {x.shape}, {w.shape}, {b.shape}")
     if x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]:
         raise ShapeError(f"linear shapes disagree: {x.shape} x {w.shape}^T + {b.shape}")
-    return _apply("linear", (x, w, b))
+    return _apply("linear", (x, w, b), _check_steps(x, steps, "linear"))
 
 
-def split_rows(a: Tensor, parts: int) -> list[Tensor]:
-    """`parts` equal row blocks of a 2-D tensor, in order, one tape node each."""
+def step_mean(a: Tensor, steps: int) -> Tensor:
+    """Mean of the `steps` equal row blocks of `a`, added in step order then
+    scaled by 1/steps; one block is returned as it is, without a tape node."""
     a = as_tensor(a)
-    if a.data.ndim != 2 or parts < 1 or a.shape[0] % parts != 0:
-        raise ShapeError(f"cannot split {a.shape} into {parts} equal row blocks")
-    n = a.shape[0] // parts
-    return [_apply("row_slice", (a,), (i * n, (i + 1) * n)) for i in range(parts)]
+    steps = _check_steps(a, steps, "step_mean")
+    return a if steps == 1 else _apply("step_mean", (a,), steps)
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
@@ -265,19 +291,6 @@ def detach(a: Tensor) -> Tensor:
 
 def sum_all(a: Tensor) -> Tensor:
     return _apply("sum_all", (as_tensor(a),))
-
-
-def mean_tensors(tensors: Sequence[Tensor]) -> Tensor:
-    """Elementwise mean of same-shaped tensors via an add chain; a single
-    tensor is returned as it is, without a tape node."""
-    if len(tensors) == 0:
-        raise ShapeError("mean_tensors needs at least one tensor")
-    acc = as_tensor(tensors[0])
-    if len(tensors) == 1:
-        return acc
-    for t in tensors[1:]:
-        acc = add(acc, t)
-    return smul(acc, 1.0 / len(tensors))
 
 
 def softmax(v: Tensor) -> Tensor:
@@ -374,17 +387,44 @@ def _bwd_add_bias(g, out, ins, aux):
     return [g, g.sum(axis=0)]
 
 
-def _bwd_linear(g, out, ins, aux):
+def _linear_values(ins, steps):
+    x, w, b = ins
+    wt = np.ascontiguousarray(w.T)
+    # one (T*B)-row product is not bit-identical to the per-block ones at
+    # every shape (one-row blocks, one- or two-column outputs)
+    rows = x.shape[0] // steps
+    out = np.empty((x.shape[0], w.shape[0]))
+    for t in range(steps):
+        np.matmul(x[t * rows:(t + 1) * rows], wt, out=out[t * rows:(t + 1) * rows])
+    out += b
+    return out
+
+
+def _bwd_linear(g, out, ins, steps):
     x, w, _ = ins
     wt = np.ascontiguousarray(w.T)
-    return [g @ wt.T, np.ascontiguousarray((x.T @ g).T), g.sum(axis=0)]
+    rows = x.shape[0] // steps
+    gx = np.empty_like(x)
+    gw = gb = None
+    for t in range(steps - 1, -1, -1):
+        blk = slice(t * rows, (t + 1) * rows)
+        g_t = g[blk]
+        np.matmul(g_t, wt.T, out=gx[blk])
+        gw_t, gb_t = x[blk].T @ g_t, g_t.sum(axis=0)
+        gw, gb = (gw_t, gb_t) if gw is None else (gw + gw_t, gb + gb_t)
+    return [gx, np.ascontiguousarray(gw.T), gb]
 
 
-def _bwd_row_slice(g, out, ins, aux):
-    start, stop = aux
-    grad = np.zeros_like(ins[0])
-    grad[start:stop] = g
-    return [grad]
+def _step_mean_values(x: Array, steps: int) -> Array:
+    rows = x.shape[0] // steps
+    acc = x[:rows] + x[rows:2 * rows]
+    for t in range(2, steps):
+        acc = acc + x[t * rows:(t + 1) * rows]
+    return acc * (1.0 / steps)
+
+
+def _bwd_step_mean(g, out, ins, steps):
+    return [np.tile(g * (1.0 / steps), (steps, 1))]
 
 
 def _bwd_concat_cols(g, out, ins, aux):
@@ -441,12 +481,8 @@ register_op(
 register_op("smul", lambda ins, aux: ins[0] * aux, lambda g, out, ins, aux: [g * aux])
 register_op("sadd", lambda ins, aux: ins[0] + aux, lambda g, out, ins, aux: [g])
 register_op("add_bias", lambda ins, aux: ins[0] + ins[1], _bwd_add_bias)
-register_op(
-    "linear",
-    lambda ins, aux: ins[0] @ np.ascontiguousarray(ins[1].T) + ins[2],
-    _bwd_linear,
-)
-register_op("row_slice", lambda ins, aux: ins[0][aux[0]:aux[1]], _bwd_row_slice)
+register_op("linear", _linear_values, _bwd_linear)
+register_op("step_mean", lambda ins, aux: _step_mean_values(ins[0], aux), _bwd_step_mean)
 register_op(
     "concat_cols", lambda ins, aux: np.concatenate([ins[0], ins[1]], axis=1), _bwd_concat_cols
 )
@@ -505,7 +541,11 @@ def backward(tape: Tape, seed: Tensor) -> GradientSet:
         if node.op == "leaf":
             continue
         in_values = [tape.nodes[i].value for i in node.inputs]
-        in_grads = _OPS[node.op].backward(out_grad, node.value, in_values, node.aux)
+        rule = _OPS[node.op]
+        if rule.saves:
+            in_grads = rule.backward(out_grad, node.value, in_values, node.aux, node.saved)
+        else:
+            in_grads = rule.backward(out_grad, node.value, in_values, node.aux)
         for iid, g in zip(node.inputs, in_grads):
             if g is None:
                 continue
@@ -534,7 +574,10 @@ def replay_forward(tape: Tape) -> bool:
         if node.op == "leaf":
             continue
         ins = [tape.nodes[i].value for i in node.inputs]
-        value = _OPS[node.op].forward(ins, node.aux)
+        rule = _OPS[node.op]
+        value = rule.forward(ins, node.aux)
+        if rule.saves:
+            value = value[0]
         if value.shape != node.value.shape or not np.array_equal(value, node.value):
             ok = False
     return ok

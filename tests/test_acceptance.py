@@ -174,12 +174,8 @@ def test_criterion_2_gradient_correctness():
     tape = Tape()
     w = tape.leaf(w0, param_id="w")
     b = tape.leaf(b0, param_id="b")
-    drive = T.linear(tape.leaf(x), w, b)
-    loss = None
-    for s in T.split_rows(lif_layer([drive], p), p.t_steps):
-        term = T.sum_all(T.mul(s, Tensor(np.tile(c, (3, 1)))))
-        loss = term if loss is None else T.add(loss, term)
-    grads = backward(tape, loss)
+    spikes = lif_layer(T.linear(tape.leaf(x), w, b), p)
+    grads = backward(tape, T.sum_all(T.mul(spikes, Tensor(np.tile(c, (3 * p.t_steps, 1))))))
     ref_dw, ref_db = _hand_unrolled_bptt(w0, b0, x, c, p, p.t_steps)
     snn_err = max(float(np.max(np.abs(grads["w"].data - ref_dw))),
                   float(np.max(np.abs(grads["b"].data - ref_db))))

@@ -15,7 +15,9 @@ import iemf.modulation
 import iemf.training
 from iemf.continual import build_task_stream, train_incremental
 from iemf.data import DataSpec, generate
-from iemf.model import ModelConfig, init_model
+from iemf.model import ModelConfig, forward_full, init_model
+from iemf.neurons import LIFParams
+from iemf.tensor import Tape
 from iemf.training import OptimConfig, train
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -43,6 +45,22 @@ def test_tracer_bindings_record_both_step_paths():
     assert tracer.select("continual.incremental_step")
     assert tracer.select("model.network_logits", "teacher")
     assert tracer.select("training.sgd_step")
+
+
+def test_tracer_sees_one_backward_and_the_whole_tape_per_spiking_step():
+    ds = generate(DataSpec(n_classes=3, d_a=4, d_v=4, train_per_class=6, test_per_class=2, seed=0))
+    model_cfg = ModelConfig(d_in_a=4, d_in_v=4, n_classes=3, hidden=5, latent=4,
+                            neuron_mode="spiking", lif=LIFParams(t_steps=3))
+    tracer = load_spans().Tracer()
+    with tracer.installed():
+        train(ds, init_model(model_cfg, 0), OptimConfig(eta=1e-2, epochs=1, batch_size=6, seed=0))
+    steps = tracer.select("modulation.iemf_train_step")
+    assert len(steps) == 3  # 18 samples in batches of 6
+    assert len(tracer.select("tensor.backward", in_step=True)) == len(steps)
+    assert not tracer.select("tensor.backward", in_step=False)
+    tape = Tape()
+    forward_full(ds.train.subset(range(6)), init_model(model_cfg, 0), tape)
+    assert sum(tracer.op_counts.values()) == len(tape) * len(steps)
 
 
 def test_tracer_times_every_fusion_sharpness_evaluation():

@@ -206,11 +206,16 @@ def test_config_echo_contains_resolved_defaults(workdir):
     main(["generate", "--config", cfg, "--out", data])
     out = str(tmp / "run")
     main(["train", "--config", cfg, "--data", data, "--out", out])
-    echo = json.loads(open(os.path.join(out, "resolved_config.json")).read())
+    echo_path = os.path.join(out, "resolved_config.json")
+    echo = json.loads(open(echo_path).read())
     assert echo["optim"]["weight_decay"] == 1e-4  # default materialized
-    assert echo["optim"]["iemf"]["gating"] == "tanh"
+    assert echo["iemf"]["gating"] == "tanh"
+    assert echo["optim"]["mslr"] == {"mult_a": 1.0, "mult_v": 1.0}
     assert echo["data"]["seed"] == 0
     assert echo["model"]["lif"]["tau_m"] == 2.0
+    # the echo is itself a valid configuration
+    assert main(["generate", "--config", echo_path, "--out", str(tmp / "again.iemf")]) == 0
+    assert _read(str(tmp / "again.iemf")) == _read(data)
 
 
 def test_strict_config_parsing():

@@ -14,11 +14,14 @@ import struct
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iemf.cli import main
+from iemf.config import from_dict
 from iemf.container import FORMAT_VERSION, MAGIC
+from iemf.errors import ConfigError
+from iemf.util import dump_json
 
 CONFIG = {
     "seed": 0,
@@ -238,6 +241,38 @@ def test_config_leaf_swap_never_crashes(runs, leaf, value):
         path = _dump(os.path.join(tmp, "config.json"), _swapped(CONFIG, leaf, value))
         _assert_documented_exit(["train", "--config", path, "--data", runs["data"],
                                  "--out", os.path.join(tmp, "out")])
+
+
+def _same_kind(value):
+    """Values of the JSON type of `value`, most of them valid at its leaf."""
+    if isinstance(value, bool):
+        return st.booleans()
+    if isinstance(value, int):
+        return st.integers(0, 9)
+    if isinstance(value, float):
+        return st.floats(0.0, 10.0) | st.integers(0, 9)
+    return st.sampled_from(["continuous", "spiking", "tanh", "arctan", "lwf", "finetune"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_resolved_config_echo_round_trips(data):
+    """The echo of any valid configuration loads back to the same configuration
+    and echoes the same bytes again."""
+    raw = CONFIG
+    for leaf in data.draw(st.lists(st.sampled_from(_leaves(CONFIG)), max_size=4, unique=True)):
+        old = CONFIG
+        for key in leaf:
+            old = old[key]
+        raw = _swapped(raw, leaf, data.draw(_same_kind(old)))
+    try:
+        cfg = from_dict(raw)
+    except ConfigError:
+        assume(False)
+    echo = dump_json(cfg.resolved())
+    again = from_dict(json.loads(echo))
+    assert again == cfg
+    assert dump_json(again.resolved()) == echo
 
 
 @settings(max_examples=40, deadline=None)

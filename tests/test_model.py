@@ -213,16 +213,15 @@ def test_clone_is_independent():
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-@pytest.mark.parametrize("name, nodes", [("default", 34), ("spiking", 88)])
+@pytest.mark.parametrize("name, nodes", [("default", 34), ("spiking", 39)])
 def test_tape_nodes_per_step_at_shipped_config_shapes(name, nodes):
     """One training step's tape at the shape of `configs/<name>.json`, batch included.
 
     Continuous: 14 parameter leaves, 2 input leaves, 7 `linear`, 2 `relu`,
     `concat_cols`, 2 `detach`, 3 `softmax_xent` and 3 nodes combining the
-    losses. Spiking (T=4, depth 2) drops the `relu`s and adds per modality 2
-    `lif_layer`, 8 `row_slice` and 3 more `linear`; the fusion layer and both
-    heads run at every step and their logits are averaged (3 `add` + 1 `smul`
-    per logit set).
+    losses. Spiking (T=4, depth 2) swaps the 2 `relu`s for 4 `lif_layer`
+    and adds one `step_mean` per logit set: every layer, the fusion layer and
+    the heads run their T steps as one node over the stacked rows.
     """
     cfg = load_config(str(CONFIGS / f"{name}.json"))
     model = init_model(cfg.model, cfg.seed)

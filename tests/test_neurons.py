@@ -49,14 +49,27 @@ def test_lif_params_validation():
         LIFParams(surrogate_width=0.0)
 
 
+def _stack(currents):
+    """One shared drive as it is, or the per-step currents stacked by rows."""
+    if len(currents) == 1:
+        return currents[0], 1
+    return Tensor(np.concatenate([c.data for c in currents])), len(currents)
+
+
 def _spikes(currents, p):
     """Per-step spikes of one layer run as the multi-step op."""
-    return [s.data for s in T.split_rows(lif_layer(currents, p), p.t_steps)]
+    current, steps = _stack(currents)
+    return np.split(lif_layer(current, p, steps).data, p.t_steps)
 
 
 def _membranes(currents, p):
-    """Per-step membranes after reset, from the op's own dynamics."""
-    return [u_pre * keep for u_pre, _, _, keep in lif_scan([c.data for c in currents], p)]
+    """Per-step membranes after reset, simulated step by step in plain numpy."""
+    u, out = np.zeros_like(currents[0].data), []
+    for t in range(p.t_steps):
+        u_pre = p.tau * u + currents[0 if len(currents) == 1 else t].data
+        u = np.where(u_pre >= p.u_th, 0.0, u_pre)
+        out.append(u)
+    return out
 
 
 def test_lif_zero_input_stays_silent():
@@ -106,7 +119,7 @@ def test_surrogate_derivative_hat():
     currents = np.array([[0.5, 1.5, -0.5, 0.75]])
     tape = Tape()
     x = tape.leaf(currents, param_id="x")
-    grad = backward(tape, T.sum_all(lif_layer([x], p)))["x"].data[0]
+    grad = backward(tape, T.sum_all(lif_layer(x, p)))["x"].data[0]
     assert grad[0] == 1.0
     assert grad[1] == 0.0
     assert grad[2] == 0.0
@@ -116,11 +129,11 @@ def test_surrogate_derivative_hat():
 def test_lif_shape_mismatch():
     p = LIFParams(t_steps=2)
     with pytest.raises(ShapeError):
-        lif_layer([Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4)))], p)
+        lif_layer(Tensor(np.zeros((3, 3))), p, 2)
     with pytest.raises(ShapeError):
-        lif_layer([Tensor(np.zeros((1, 3)))] * 3, p)
+        lif_layer(Tensor(np.zeros((3, 3))), p, 3)
     with pytest.raises(ShapeError):
-        lif_layer([Tensor(np.zeros(3))], p)
+        lif_layer(Tensor(np.zeros(3)), p)
 
 
 def test_subthreshold_map_is_linear_and_matches_finite_differences():
@@ -133,16 +146,15 @@ def test_subthreshold_map_is_linear_and_matches_finite_differences():
     x = 0.1 * rng.standard_normal((4, 3))
 
     def surrogate_potential(w_val):
-        steps = lif_scan([x @ w_val.T], p)
-        assert not any(spike.any() for _, _, spike, _ in steps)
-        v = np.concatenate([shifted for _, shifted, _, _ in steps])
+        spikes, v = lif_scan(x @ w_val.T, p)
+        assert not spikes.any()
         assert np.all((-p.surrogate_width < v) & (v < 0.0))  # inside the hat's rising side
         return float((v + v * v / (2.0 * p.surrogate_width)).sum())
 
     tape = Tape()
     w = tape.leaf(w0, param_id="w")
     drive = T.matmul(tape.leaf(x), T.transpose(w))
-    grads = backward(tape, T.sum_all(lif_layer([drive], p)))
+    grads = backward(tape, T.sum_all(lif_layer(drive, p)))
     h = 1e-5
     for idx in [(0, 0), (1, 2), (2, 1)]:
         wp, wm = w0.copy(), w0.copy()
@@ -154,8 +166,7 @@ def test_subthreshold_map_is_linear_and_matches_finite_differences():
 
     # doubling the weights doubles the final membrane sum (no spikes anywhere)
     def final_membrane_sum(w_val):
-        u_pre, _, _, keep = lif_scan([x @ w_val.T], p)[-1]
-        return float((u_pre * keep).sum())
+        return float(_membranes([Tensor(x @ w_val.T)], p)[-1].sum())
 
     assert abs(final_membrane_sum(2.0 * w0) - 2.0 * final_membrane_sum(w0)) < 1e-12
 
@@ -198,11 +209,8 @@ def test_bptt_matches_hand_unrolled_oracle():
     tape = Tape()
     w = tape.leaf(w0, param_id="w")
     b = tape.leaf(b0, param_id="b")
-    spikes = T.split_rows(lif_layer([T.linear(tape.leaf(x), w, b)], p), p.t_steps)
-    terms = [T.sum_all(T.mul(s, Tensor(np.tile(c, (3, 1))))) for s in spikes]
-    loss = terms[0]
-    for term in terms[1:]:
-        loss = T.add(loss, term)
+    spikes = lif_layer(T.linear(tape.leaf(x), w, b), p)
+    loss = T.sum_all(T.mul(spikes, Tensor(np.tile(c, (3 * p.t_steps, 1)))))
     grads = backward(tape, loss)
 
     ref_loss, ref_dw, ref_db = _hand_unrolled_bptt(w0, b0, x, c, p, p.t_steps)
@@ -224,13 +232,12 @@ def test_bptt_per_step_currents_matches_hand_unrolled_oracle():
     tape = Tape()
     w = tape.leaf(w0, param_id="w")
     b = tape.leaf(b0, param_id="b")
-    currents = [T.linear(tape.leaf(x), w, b) for x in xs]
-    spikes = T.split_rows(lif_layer(currents, p), p.t_steps)
-    loss = T.sum_all(T.mul(T.concat_cols(*spikes[1:]), Tensor(np.tile(np.r_[c, 2 * c], (5, 1)))))
-    loss = T.add(loss, T.sum_all(T.smul(spikes[0], 0.5)))
+    weights = [0.5 * np.ones(4), c, 2 * c]
+    currents = T.linear(tape.leaf(np.concatenate(xs)), w, b, p.t_steps)
+    spikes = lif_layer(currents, p, p.t_steps)
+    loss = T.sum_all(T.mul(spikes, Tensor(np.repeat(np.array(weights), 5, axis=0))))
     grads = backward(tape, loss)
 
-    weights = [0.5 * np.ones(4), c, 2 * c]
     u = np.zeros((5, 4))
     pres, fired = [], []
     for x in xs:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iemf.tensor as T
 from iemf.errors import ContractError, NumericError, ShapeError
@@ -166,9 +168,11 @@ def test_gradients_match_finite_differences_on_random_nets():
 def test_kernel_gradients_finite_difference_sweep():
     """Every differentiable kernel in one composed graph against central differences.
 
-    The LIF layers run where every membrane sits outside the surrogate's
-    support, so their spikes are locally constant and their surrogate
-    gradient is exactly zero, which is what central differences see.
+    `lin` stacks three one-row steps, so the stacked `linear`, `step_mean`
+    and both `lif_layer` input forms run their per-block paths. The LIF
+    layers run where every membrane sits outside the surrogate's support, so
+    their spikes are locally constant and their surrogate gradient is exactly
+    zero, which is what central differences see.
     """
     rng = np.random.default_rng(11)
     vals0 = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((3, 4)),
@@ -188,23 +192,23 @@ def test_kernel_gradients_finite_difference_sweep():
         kl = T.distill_kl(T.select_cols(cat, [0, 2]), Tensor(old), 2.0)
         loss = T.add(T.sum_all(T.mul(sm, sm)), kl)
         loss = T.add(loss, softmax_cross_entropy(sel, [0, 3, 2])[0])
-        lin = T.linear(m, w, c)
-        rows = T.split_rows(lin, 3)
-        per_step = lif_layer(rows, lif)
-        shared = T.split_rows(lif_layer([lin], lif), lif.t_steps)
-        loss = T.add(loss, T.sum_all(T.mul(rows[2], rows[0])))
+        lin = T.linear(m, w, c, 3)
+        per_step = lif_layer(lin, lif, 3)
+        shared = T.step_mean(lif_layer(lin, lif), lif.t_steps)
+        mean = T.step_mean(lin, 3)
+        loss = T.add(loss, T.sum_all(T.mul(mean, T.smul(mean, -0.5))))
         loss = T.add(loss, T.sum_all(T.mul(per_step, lin)))
-        loss = T.add(loss, T.sum_all(T.mul(shared[1], T.smul(lin, 1.5))))
+        loss = T.add(loss, T.sum_all(T.mul(shared, T.smul(lin, 1.5))))
         return tape, loss, lin
 
     tape, loss, lin = build(vals0)
     grads = backward(tape, loss)
     assert replay_forward(tape)
-    assert {n.op for n in tape.nodes} >= {"linear", "row_slice", "lif_layer"}
-    for currents in ([lin.data], [lin.data[i:i + 1] for i in range(3)]):
-        steps = lif_scan(currents, lif)
-        assert 0.0 < np.mean([spike.mean() for _, _, spike, _ in steps]) < 1.0
-        assert min(np.abs(shifted).min() for _, shifted, _, _ in steps) > 10 * lif.surrogate_width
+    assert {n.op for n in tape.nodes} >= {"linear", "step_mean", "lif_layer"}
+    for steps in (1, 3):
+        spikes, shifted = lif_scan(lin.data, lif, steps)
+        assert 0.0 < spikes.mean() < 1.0
+        assert np.abs(shifted).min() > 10 * lif.surrogate_width
     for name, val in vals0.items():
         def loss_of(v, _name=name):
             return build({**vals0, _name: v})[1].item()
@@ -236,16 +240,59 @@ def test_linear_is_bit_identical_to_the_composed_affine_map():
         T.linear(Tensor(np.zeros((5, 3))), Tensor(np.zeros((4, 3))), Tensor(np.zeros(3)))
 
 
-def test_split_rows_blocks_and_gradient():
+def test_step_mean_blocks_and_gradient():
     tape = Tape()
     x = tape.leaf(np.arange(12, dtype=float).reshape(6, 2), param_id="x")
-    parts = T.split_rows(x, 3)
-    assert [p.data.tolist() for p in parts] == [[[0, 1], [2, 3]], [[4, 5], [6, 7]],
-                                                [[8, 9], [10, 11]]]
-    grads = backward(tape, T.add(T.sum_all(parts[0]), T.sum_all(T.smul(parts[2], 3.0))))
-    assert np.array_equal(grads["x"].data, [[1, 1], [1, 1], [0, 0], [0, 0], [3, 3], [3, 3]])
+    mean = T.step_mean(x, 3)
+    assert mean.data.tolist() == [[4, 5], [6, 7]]
+    grads = backward(tape, T.sum_all(T.smul(mean, 6.0)))
+    assert np.array_equal(grads["x"].data, np.full((6, 2), 2.0))
+    nodes = len(tape)
+    assert T.step_mean(x, 1) is x and len(tape) == nodes  # one step records nothing
     with pytest.raises(ShapeError):
-        T.split_rows(x, 4)
+        T.step_mean(x, 4)
+    with pytest.raises(ShapeError):
+        T.linear(x, tape.leaf(np.ones((3, 2))), tape.leaf(np.ones(3)), 4)
+
+
+def _per_step_composition(x0, w0, b0, weights, steps):
+    """The stacked pair built the way a tape of single steps records it: one
+    leaf and one `linear` per step, then an add chain and a 1/T scale."""
+    tape = Tape()
+    w, b = tape.leaf(w0, param_id="w"), tape.leaf(b0, param_id="b")
+    blocks = [tape.leaf(x_t, param_id=f"x{t}") for t, x_t in enumerate(np.split(x0, steps))]
+    outs = [T.linear(x_t, w, b) for x_t in blocks]
+    mean = outs[0]
+    if steps > 1:
+        for out in outs[1:]:
+            mean = T.add(mean, out)
+        mean = T.smul(mean, 1.0 / steps)
+    grads = backward(tape, T.sum_all(T.mul(mean, Tensor(weights))))
+    gx = np.concatenate([grads[f"x{t}"].data for t in range(steps)])
+    return np.concatenate([o.data for o in outs]), mean.data, gx, grads["w"].data, grads["b"].data
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.integers(1, 4), rows=st.integers(1, 5), k=st.integers(1, 6),
+       n=st.integers(1, 6), spikes=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_linear_and_step_mean_equal_the_per_step_composition(
+        steps, rows, k, n, spikes, seed):
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal((steps * rows, k))
+    if spikes:
+        x0 = np.where(x0 >= 0.0, 1.0, 0.0)
+    w0, b0 = rng.standard_normal((n, k)), rng.standard_normal(n)
+    weights = rng.standard_normal((rows, n))
+    tape = Tape()
+    x, w, b = (tape.leaf(v, param_id=name) for name, v in (("x", x0), ("w", w0), ("b", b0)))
+    out = T.linear(x, w, b, steps)
+    mean = T.step_mean(out, steps)
+    grads = backward(tape, T.sum_all(T.mul(mean, Tensor(weights))))
+    stacked = (out.data, mean.data, grads["x"].data, grads["w"].data, grads["b"].data)
+    for got, want in zip(stacked, _per_step_composition(x0, w0, b0, weights, steps)):
+        assert got.shape == want.shape and np.array_equal(got, want)
+    assert len(tape) == 3 + 1 + (steps > 1) + 3  # leaves, linear, step_mean, loss
+    assert replay_forward(tape)
 
 
 def test_detach_blocks_gradient():
