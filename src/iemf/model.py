@@ -192,16 +192,15 @@ def _encode_spiking(x: Tensor, layers: list[tuple[Tensor, Tensor]], lif: LIFPara
 
 def fuse_concat(z_a: Tensor, z_v: Tensor, model: MultimodalModel,
                 leaves: dict[str, Tensor] | None = None) -> Tensor:
-    """Class logits from the concatenated latents, W_f [z_a ; z_v] + b_f,
-    averaged over the stacked steps."""
+    """One step's class logits from the concatenated latents: W_f [z_a ; z_v] + b_f."""
     if leaves is None:
         leaves = bind_params(model, None)
-    width = leaves["fusion.W"].shape[1]
-    if z_a.shape[1] + z_v.shape[1] != width:
+    w, b = leaves["fusion.W"], leaves["fusion.b"]
+    if z_a.shape[1] + z_v.shape[1] != w.shape[1]:
         raise ShapeError(
-            f"fusion expects latent widths summing to {width}, got {z_a.shape[1]}+{z_v.shape[1]}"
+            f"fusion expects latent widths summing to {w.shape[1]}, got {z_a.shape[1]}+{z_v.shape[1]}"
         )
-    return fused_logits(T.concat_cols(z_a, z_v), model, leaves)
+    return T.linear(T.concat_cols(z_a, z_v), w, b)
 
 
 def _check_input_widths(batch: Batch, cfg: ModelConfig) -> None:
@@ -266,7 +265,7 @@ def network_logits(batch: Batch, model: MultimodalModel, tape: Tape | None = Non
     """
     leaves = bind_params(model, tape)
     za, zv = step_latents(batch, model, leaves)
-    logits_av = fuse_concat(za, zv, model, leaves)
+    logits_av = fused_logits(T.concat_cols(za, zv), model, leaves)
     logits_a = probe_logits(za, "head_a", model, leaves)
     logits_v = probe_logits(zv, "head_v", model, leaves)
     steps = model.cfg.steps

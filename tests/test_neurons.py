@@ -63,13 +63,22 @@ def _spikes(currents, p):
 
 
 def _membranes(currents, p):
-    """Per-step membranes after reset, simulated step by step in plain numpy."""
-    u, out = np.zeros_like(currents[0].data), []
+    """Per-step membranes after reset, from the op's own dynamics."""
+    current, steps = _stack(currents)
+    spikes, shifted = lif_scan(current.data, p, steps)
+    return np.split((shifted + p.u_th) * (1.0 - spikes), p.t_steps)
+
+
+def _simulated(currents, p):
+    """Per-step spikes and u_pre - u_th, simulated step by step in plain numpy."""
+    u, spikes, shifted = np.zeros_like(currents[0].data), [], []
     for t in range(p.t_steps):
         u_pre = p.tau * u + currents[0 if len(currents) == 1 else t].data
-        u = np.where(u_pre >= p.u_th, 0.0, u_pre)
-        out.append(u)
-    return out
+        fired = u_pre >= p.u_th
+        spikes.append(fired.astype(float))
+        shifted.append(u_pre - p.u_th)
+        u = np.where(fired, 0.0, u_pre)
+    return np.concatenate(spikes), np.concatenate(shifted)
 
 
 def test_lif_zero_input_stays_silent():
@@ -100,6 +109,22 @@ def test_lif_hand_simulated_sequence():
     assert spikes[2][0, 0] == 1.0
     assert us[2][0, 0] == 0.0  # reset after the spike
     assert spikes[3][0, 0] == 0.0  # 0.3 again after the reset
+    assert abs(us[3][0, 0] - pre[0]) < 1e-15
+
+
+@pytest.mark.parametrize("per_step", [False, True])
+def test_lif_scan_matches_plain_simulation(per_step):
+    """The recurrence, threshold and hard reset agree bit for bit with a
+    step-by-step simulation, for a shared drive and for per-step currents."""
+    rng = np.random.default_rng(7)
+    p = LIFParams(t_steps=5)
+    currents = [Tensor(rng.standard_normal((6, 4))) for _ in range(p.t_steps if per_step else 1)]
+    current, steps = _stack(currents)
+    spikes, shifted = lif_scan(current.data, p, steps)
+    ref_spikes, ref_shifted = _simulated(currents, p)
+    assert ref_spikes.any() and not ref_spikes.all()
+    assert np.array_equal(spikes, ref_spikes)
+    assert np.array_equal(shifted, ref_shifted)
 
 
 def test_spike_binarity_and_reset_invariant():
