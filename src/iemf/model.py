@@ -93,7 +93,9 @@ class Batch:
 
     def subset(self, indices) -> "Batch":
         idx = np.asarray(indices)
-        return Batch(Tensor(self.x_a.data[idx]), Tensor(self.x_v.data[idx]), self.y[idx])
+        # rows picked from checked data are fresh contiguous float64 copies
+        return Batch(Tensor._checked(self.x_a.data[idx]), Tensor._checked(self.x_v.data[idx]),
+                     self.y[idx])
 
 
 @dataclass

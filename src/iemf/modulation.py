@@ -76,15 +76,16 @@ def per_sample_content(probs: Tensor, labels) -> Tensor:
     arr = probs.data
     if arr.ndim != 2:
         raise ContractError(f"probabilities must be (B,M), got shape {probs.shape}")
-    row_sums = arr.sum(axis=1)
-    if not np.allclose(row_sums, 1.0, atol=1e-9):
+    # np.allclose(row_sums, 1.0, atol=1e-9) written out: its default rtol is
+    # 1e-5, and NaN or infinite sums fail the comparison
+    if not (np.abs(arr.sum(axis=1) - 1.0) <= 1e-9 + 1e-5).all():
         raise ContractError("probability rows must sum to 1")
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if y.shape[0] != arr.shape[0]:
         raise ContractError(f"expected {arr.shape[0]} labels, got {y.shape[0]}")
     if y.min() < 0 or y.max() >= arr.shape[1]:
         raise IndexError("label out of range")
-    return Tensor(arr[np.arange(arr.shape[0]), y])
+    return Tensor._checked(arr[np.arange(arr.shape[0]), y])
 
 
 def batch_strength_scores(c_a: Tensor, c_v: Tensor, c_av: Tensor) -> tuple[float, float]:

@@ -6,7 +6,10 @@ recording and certifies bit-identical results. Operations registered through
 `register_op` (see `neurons` for the spiking kernels) are replayable and
 differentiable like the built-ins. An op registered with `saves=True` keeps
 one extra forward result on its node for its backward rule; replay compares
-values only.
+values only. The criteria use it to compute each softmax once:
+`softmax_xent` keeps its probabilities, and `softmax_cross_entropy` hands
+that same array to its caller, so the loss, its gradient and the confidence
+scores all read one softmax; `distill_kl` keeps both of its softmaxes.
 
 Every value is checked for finiteness once: op outputs in `_apply`, raw
 arrays where they enter through `Tensor(...)` or `Tape.leaf`, and parameter
@@ -158,12 +161,18 @@ def _record(op: str, operands: Sequence[Tensor], value: Array, aux: Any = None,
     return Tensor._checked(value, tape, nid)
 
 
-def _apply(op: str, operands: Sequence[Tensor], aux: Any = None) -> Tensor:
+def _run(op: str, operands: Sequence[Tensor], aux: Any = None) -> tuple[Array, Any]:
+    """Forward rule and finiteness check of `_apply`: (value, saved or None)."""
     rule = _OPS[op]
     value, saved = rule.forward([t.data for t in operands], aux), None
     if rule.saves:
         value, saved = value
     _require_finite(value, op)
+    return value, saved
+
+
+def _apply(op: str, operands: Sequence[Tensor], aux: Any = None) -> Tensor:
+    value, saved = _run(op, operands, aux)
     return _record(op, operands, value, aux, saved)
 
 
@@ -199,13 +208,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _apply("add", (a, b))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"sub shapes differ: {a.shape} vs {b.shape}")
-    return _apply("sub", (a, b))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
@@ -216,11 +218,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def smul(a: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar held constant on the tape."""
     return _apply("smul", (as_tensor(a),), float(c))
-
-
-def sadd(a: Tensor, c: float) -> Tensor:
-    """Add a python scalar held constant on the tape."""
-    return _apply("sadd", (as_tensor(a),), float(c))
 
 
 def add_bias(m: Tensor, bias: Tensor) -> Tensor:
@@ -301,29 +298,39 @@ def softmax(v: Tensor) -> Tensor:
     return _apply("softmax", (v,))
 
 
-def _check_labels(labels, n_rows: int, n_classes: int) -> tuple[int, ...]:
-    labels = tuple(int(y) for y in np.asarray(labels).reshape(-1))
-    if len(labels) != n_rows:
-        raise ShapeError(f"expected {n_rows} labels, got {len(labels)}")
-    for y in labels:
-        if not 0 <= y < n_classes:
-            raise IndexError(f"label {y} out of range for {n_classes} classes")
-    return labels
+def _check_labels(labels, n_rows: int, n_classes: int) -> Array:
+    """Labels as one int64 array; non-integer values truncate as `int()` does."""
+    y = np.asarray(labels).reshape(-1)
+    if y.dtype.kind == "f":
+        y = np.trunc(y)
+        bad = ~np.isfinite(y)
+        if bad.any():
+            int(y[bad][0])  # raises ValueError or OverflowError, as int() does
+    elif y.dtype.kind not in "biu":
+        y = y.astype(np.int64)
+    if y.shape[0] != n_rows:
+        raise ShapeError(f"expected {n_rows} labels, got {y.shape[0]}")
+    bad = (y < 0) | (y >= n_classes)
+    if bad.any():
+        raise IndexError(f"label {int(y[bad][0])} out of range for {n_classes} classes")
+    return np.array(y, dtype=np.int64)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> tuple[Tensor, Tensor]:
     """Mean of -ln softmax(logits)[y] over the batch.
 
-    Returns (scalar loss, per-sample probabilities). The probabilities are
-    untraced: they feed confidence probes, never gradients.
+    Returns (scalar loss, per-sample probabilities). The op computes the
+    softmax once and keeps it for its backward rule; the probabilities
+    returned are that kept array, untraced: they feed confidence probes,
+    never gradients.
     """
     logits = as_tensor(logits)
     if logits.data.ndim != 2 or logits.shape[0] == 0 or logits.shape[1] == 0:
         raise ShapeError(f"cross entropy needs a non-empty (B,M) tensor, got {logits.shape}")
     labels = _check_labels(labels, logits.shape[0], logits.shape[1])
-    loss = _apply("softmax_xent", (logits,), labels)
-    probs = Tensor(_softmax_values(logits.data))
-    return loss, probs
+    loss, probs = _run("softmax_xent", (logits,), labels)
+    _require_finite(probs, "softmax_xent probabilities")
+    return _record("softmax_xent", (logits,), loss, labels, probs), Tensor._checked(probs)
 
 
 def distill_kl(new_logits: Tensor, old_logits: Tensor, temperature: float) -> Tensor:
@@ -348,30 +355,35 @@ def distill_kl(new_logits: Tensor, old_logits: Tensor, temperature: float) -> Te
 # value helpers shared by forward + backward rules
 
 
-def _softmax_values(x: Array) -> Array:
+def _softmax_parts(x: Array) -> tuple[Array, Array, Array]:
+    """x minus its row maxima, their exponentials, and the row sums as a column.
+
+    softmax = e / s and log-softmax = shifted - log(s).
+    """
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return shifted, e, e.sum(axis=-1, keepdims=True)
 
 
-def _log_softmax_values(x: Array) -> Array:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _softmax_values(x: Array) -> Array:
+    _, e, s = _softmax_parts(x)
+    return e / s
 
 
-def _xent_values(logits: Array, labels) -> Array:
-    b = logits.shape[0]
-    ls = _log_softmax_values(logits)
-    picked = ls[np.arange(b), list(labels)]
-    return np.asarray(-picked.mean())
+def _fwd_softmax_xent(ins, labels):
+    shifted, e, s = _softmax_parts(ins[0])
+    picked = shifted[np.arange(shifted.shape[0]), labels] - np.log(s)[:, 0]
+    return np.asarray(-picked.mean()), e / s
 
 
-def _distill_values(new: Array, old: Array, temperature: float) -> Array:
-    ls_new = _log_softmax_values(new / temperature)
-    ls_old = _log_softmax_values(old / temperature)
+def _fwd_distill_kl(ins, temperature):
+    sh_new, e_new, s_new = _softmax_parts(ins[0] / temperature)
+    sh_old, e_old, s_old = _softmax_parts(ins[1] / temperature)
+    ls_new = sh_new - np.log(s_new)
+    ls_old = sh_old - np.log(s_old)
     p_old = np.exp(ls_old)
     kl = (p_old * (ls_old - ls_new)).sum(axis=1)
-    return np.asarray(kl.mean())
+    return np.asarray(kl.mean()), (e_new / s_new, e_old / s_old)
 
 
 # ---------------------------------------------------------------------------
@@ -447,21 +459,17 @@ def _bwd_softmax(g, out, ins, aux):
     return [out * (g - inner)]
 
 
-def _bwd_softmax_xent(g, out, ins, aux):
-    logits = ins[0]
-    labels = list(aux)
-    probs = _softmax_values(logits)
+def _bwd_softmax_xent(g, out, ins, labels, probs):
+    b = probs.shape[0]
     grad = probs.copy()
-    grad[np.arange(logits.shape[0]), labels] -= 1.0
-    return [grad * (float(g) / logits.shape[0])]
+    grad[np.arange(b), labels] -= 1.0
+    grad *= float(g) / b
+    return [grad]
 
 
-def _bwd_distill_kl(g, out, ins, aux):
-    new, old = ins
-    temperature = aux
-    p_new = _softmax_values(new / temperature)
-    p_old = _softmax_values(old / temperature)
-    scale = float(g) / (new.shape[0] * temperature)
+def _bwd_distill_kl(g, out, ins, temperature, saved):
+    p_new, p_old = saved
+    scale = float(g) / (ins[0].shape[0] * temperature)
     return [(p_new - p_old) * scale, None]
 
 
@@ -472,14 +480,12 @@ register_op(
     lambda g, out, ins, aux: [np.ascontiguousarray(g.T)],
 )
 register_op("add", lambda ins, aux: ins[0] + ins[1], lambda g, out, ins, aux: [g, g])
-register_op("sub", lambda ins, aux: ins[0] - ins[1], lambda g, out, ins, aux: [g, -g])
 register_op(
     "mul",
     lambda ins, aux: ins[0] * ins[1],
     lambda g, out, ins, aux: [g * ins[1], g * ins[0]],
 )
 register_op("smul", lambda ins, aux: ins[0] * aux, lambda g, out, ins, aux: [g * aux])
-register_op("sadd", lambda ins, aux: ins[0] + aux, lambda g, out, ins, aux: [g])
 register_op("add_bias", lambda ins, aux: ins[0] + ins[1], _bwd_add_bias)
 register_op("linear", _linear_values, _bwd_linear)
 register_op("step_mean", lambda ins, aux: _step_mean_values(ins[0], aux), _bwd_step_mean)
@@ -494,8 +500,8 @@ register_op(
 register_op("detach", lambda ins, aux: ins[0], lambda g, out, ins, aux: [None])
 register_op("sum_all", lambda ins, aux: np.asarray(ins[0].sum()), _bwd_sum_all)
 register_op("softmax", lambda ins, aux: _softmax_values(ins[0]), _bwd_softmax)
-register_op("softmax_xent", lambda ins, aux: _xent_values(ins[0], aux), _bwd_softmax_xent)
-register_op("distill_kl", lambda ins, aux: _distill_values(ins[0], ins[1], aux), _bwd_distill_kl)
+register_op("softmax_xent", _fwd_softmax_xent, _bwd_softmax_xent, saves=True)
+register_op("distill_kl", _fwd_distill_kl, _bwd_distill_kl, saves=True)
 
 
 # ---------------------------------------------------------------------------

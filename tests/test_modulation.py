@@ -2,13 +2,16 @@
 
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from iemf.config import load_config
+from iemf.continual import _incremental_step
 from iemf.data import DataSpec, generate
 from iemf.errors import ConfigError, ContractError, NumericError
-from iemf.model import ModelConfig, MultimodalModel, init_model
+from iemf.model import Batch, ModelConfig, MultimodalModel, init_model
 from iemf.modulation import (
     EPS_DIV,
     IEMFConfig,
@@ -46,6 +49,34 @@ def test_per_sample_content_rejects_bad_rows():
         per_sample_content(Tensor([[0.9, 0.3]]), [0])
     with pytest.raises(IndexError):
         per_sample_content(Tensor([[0.5, 0.5]]), [2])
+
+
+def test_per_sample_content_row_sum_edge_matches_allclose():
+    """The written-out row-sum test accepts and rejects what
+    np.allclose(row_sums, 1.0, atol=1e-9) does, a few ulps either side of
+    |sum - 1| = 1e-9 + 1e-5 and on NaN and infinite sums."""
+    rows = [[1.0, 0.0], [0.25, 0.75], [1e308, 1e308], [np.nan, 0.0], [np.inf, 0.0],
+            [-np.inf, 0.0]]
+    for edge in (1.0 + (1e-9 + 1e-5), 1.0 - (1e-9 + 1e-5)):
+        t = edge
+        for _ in range(4):
+            t = np.nextafter(t, 0.0)
+        for _ in range(9):
+            rows += [[t, 0.0], [t - 0.5, 0.5]]
+            t = np.nextafter(t, 2.0)
+    decisions = set()
+    for row in rows:
+        for batch in ([row], [[0.5, 0.5], row]):
+            arr = np.array(batch)
+            want = bool(np.allclose(arr.sum(axis=1), 1.0, atol=1e-9))
+            try:
+                per_sample_content(Tensor._checked(arr), [0] * len(batch))
+                got = True
+            except ContractError:
+                got = False
+            assert got == want, batch
+            decisions.add(want)
+    assert decisions == {True, False}
 
 
 def test_batch_strength_scores_constant():
@@ -265,3 +296,38 @@ def test_descent_direction_preserved():
     ratio = step[raw != 0.0] / raw[raw != 0.0]
     assert np.allclose(ratio, -cfg_nowd.eta * scores.xi, rtol=1e-12)
     assert float((step * raw).sum()) <= 0.0
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name, lwf, calls", [
+    ("default", False, 3), ("spiking", False, 3), ("default", True, 6),
+])
+def test_exp_calls_per_step_at_shipped_config_shapes(monkeypatch, name, lwf, calls):
+    """Each criterion computes its softmax once and keeps it for its backward
+    rule and the strength scores: one np.exp per cross entropy, and three for
+    the LwF distillation term (two softmaxes and the teacher's probabilities)."""
+    cfg = load_config(str(CONFIGS / f"{name}.json"))
+    model = init_model(cfg.model, cfg.seed)
+    rng = np.random.default_rng(0)
+    b = cfg.optim.batch_size
+    batch = Batch(Tensor(rng.standard_normal((b, cfg.model.d_in_a))),
+                  Tensor(rng.standard_normal((b, cfg.model.d_in_v))),
+                  rng.integers(2, 4, size=b))
+    old = model.clone()
+    counted = []
+    real_exp = np.exp
+
+    def counting_exp(*args, **kwargs):
+        counted.append(1)
+        return real_exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    if lwf:
+        _incremental_step(batch, model, cfg.optim, "lwf", [2, 3], [0, 1], old, 2.0, 1.0)
+    else:
+        iemf_train_step(batch, model, cfg.optim)
+    monkeypatch.undo()
+    assert len(counted) == calls
+    assert any(not np.array_equal(model.params[k], old.params[k]) for k in model.params)

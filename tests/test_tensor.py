@@ -184,8 +184,8 @@ def test_kernel_gradients_finite_difference_sweep():
     def build(vals):
         tape = Tape()
         a, b, bias, w, c = (tape.leaf(vals[k], param_id=k) for k in ("a", "b", "bias", "w", "c"))
-        m = T.add_bias(T.mul(T.add(a, b), T.sub(a, b)), bias)
-        m = T.sadd(T.smul(m, 0.7), 0.3)
+        m = T.add_bias(T.mul(T.add(a, b), T.add(a, T.smul(b, -1.0))), bias)
+        m = T.add_bias(T.smul(m, 0.7), Tensor(np.full(4, 0.3)))
         cat = T.concat_cols(m, T.transpose(T.transpose(m)))
         sel = T.select_cols(cat, [1, 3, 3, 6])
         sm = softmax(sel)
@@ -293,6 +293,114 @@ def test_stacked_linear_and_step_mean_equal_the_per_step_composition(
         assert got.shape == want.shape and np.array_equal(got, want)
     assert len(tape) == 3 + 1 + (steps > 1) + 3  # leaves, linear, step_mean, loss
     assert replay_forward(tape)
+
+
+# The three-softmax code the criteria ran before they kept their softmax:
+# log-softmax in the forward, a second softmax for the returned
+# probabilities and a third in each backward rule.
+
+
+def _old_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _old_log_softmax(x):
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _old_check_labels(labels, n_rows, n_classes):
+    labels = tuple(int(y) for y in np.asarray(labels).reshape(-1))
+    if len(labels) != n_rows:
+        raise ShapeError(f"expected {n_rows} labels, got {len(labels)}")
+    for y in labels:
+        if not 0 <= y < n_classes:
+            raise IndexError(f"label {y} out of range for {n_classes} classes")
+    return labels
+
+
+def _old_softmax_xent(logits, labels, g):
+    """(loss, probabilities, logits gradient for seed gradient g)."""
+    b = logits.shape[0]
+    labels = list(_old_check_labels(labels, *logits.shape))
+    loss = np.asarray(-_old_log_softmax(logits)[np.arange(b), labels].mean())
+    grad = _old_softmax(logits).copy()
+    grad[np.arange(b), labels] -= 1.0
+    return loss, _old_softmax(logits), grad * (float(g) / b)
+
+
+def _old_distill_kl(new, old, temperature, g):
+    """(value, new-logits gradient for seed gradient g)."""
+    ls_new = _old_log_softmax(new / temperature)
+    ls_old = _old_log_softmax(old / temperature)
+    value = np.asarray((np.exp(ls_old) * (ls_old - ls_new)).sum(axis=1).mean())
+    p_new, p_old = _old_softmax(new / temperature), _old_softmax(old / temperature)
+    return value, (p_new - p_old) * (float(g) / (new.shape[0] * temperature))
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type and message are compared
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(b=st.integers(1, 6), m=st.integers(2, 6), kind=st.sampled_from(["gauss", "large", "masked"]),
+       temperature=st.sampled_from([0.5, 1.0, 2.0]), seed=st.integers(0, 2**32 - 1))
+def test_kept_softmax_criteria_equal_the_three_softmax_code(b, m, kind, temperature, seed):
+    """`softmax_xent` and `distill_kl` compute each softmax once and keep it;
+    loss, probabilities and gradients equal the old composition bit for bit,
+    and the labels are read and rejected as before."""
+    rng = np.random.default_rng(seed)
+    scale = 1e4 if kind == "large" else 1.0
+    x0 = rng.standard_normal((b, m)) * scale
+    ref = rng.standard_normal((b, m)) * scale
+    if kind == "masked":  # continual learning's additive mask on blocked classes
+        blocked = rng.random(m) < 0.5
+        blocked[rng.integers(m)] = False
+        x0[:, blocked] += -1e30
+        ref[:, blocked] += -1e30
+    y = rng.integers(0, m, size=b)
+    g = 0.7
+
+    tape = Tape()
+    x = tape.leaf(x0, param_id="x")
+    loss, probs = softmax_cross_entropy(x, y)
+    grads = backward(tape, T.smul(loss, g))
+    want_loss, want_probs, want_grad = _old_softmax_xent(x0, y, g)
+    assert np.array_equal(loss.data, want_loss)
+    assert probs.tape is None and np.array_equal(probs.data, want_probs)
+    assert np.array_equal(grads["x"].data, want_grad)
+    assert replay_forward(tape)
+    untraced_loss, untraced_probs = softmax_cross_entropy(Tensor(x0), y)
+    assert np.array_equal(untraced_loss.data, want_loss)
+    assert np.array_equal(untraced_probs.data, want_probs)
+
+    tape = Tape()
+    x = tape.leaf(x0, param_id="x")
+    kl = T.distill_kl(x, Tensor(ref), temperature)
+    grads = backward(tape, T.smul(kl, g))
+    want_kl, want_kl_grad = _old_distill_kl(x0, ref, temperature, g)
+    assert np.array_equal(kl.data, want_kl)
+    assert np.array_equal(grads["x"].data, want_kl_grad)
+    assert replay_forward(tape)
+
+    fractions = rng.random(b) * 0.999
+    for labels in (list(y), tuple(int(v) for v in y), y.astype(np.int64), y.reshape(b, 1),
+                   y + fractions):
+        assert np.array_equal(softmax_cross_entropy(Tensor(x0), labels)[0].data, want_loss)
+    bad_labels = [list(y) + [0], list(y)[:-1], np.where(np.arange(b) == b - 1, m, y),
+                  np.where(np.arange(b) == 0, -1, y), y + m + 0.5, np.where(np.arange(b) == 0, -1.5, y),
+                  np.where(np.arange(b) == 0, np.nan, y), np.where(np.arange(b) == 0, -np.inf, y),
+                  np.where(np.arange(b) == 0, 1e30, y)]
+    for labels in bad_labels:
+        got = _raised(softmax_cross_entropy, Tensor(x0), labels)
+        want = _raised(_old_check_labels, labels, b, m)
+        assert want is not None and got == want
 
 
 def test_detach_blocks_gradient():
