@@ -27,7 +27,6 @@ from .model import (
     ModelConfig,
     MultimodalModel,
     forward_full,
-    fuse_concat,
     init_model,
 )
 from .modulation import (
@@ -46,7 +45,6 @@ from .tensor import (
     backward,
     matmul,
     replay_forward,
-    softmax,
     softmax_cross_entropy,
 )
 from .training import (

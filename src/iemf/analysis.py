@@ -37,7 +37,6 @@ from .util import (
     STREAM_LANDSCAPE,
     STREAM_SHARPNESS,
     seeded_rng,
-    worker_count,
 )
 
 # ---------------------------------------------------------------------------
@@ -54,10 +53,6 @@ def param_spans(model: MultimodalModel) -> list[tuple[str, int, int, tuple[int, 
     return spans
 
 
-def flatten_params(model: MultimodalModel) -> np.ndarray:
-    return np.concatenate([model.params[pid].reshape(-1) for pid, _, _, _ in param_spans(model)])
-
-
 def _as_batch(data) -> Batch:
     return data.train if hasattr(data, "train") else data
 
@@ -70,12 +65,12 @@ def model_objective(model: MultimodalModel, data):
     """(loss_fn, grad_fn, w0, spans) for the full training objective on a batch.
 
     Works on an internal clone, so the caller's model is never touched, and
-    evaluates each point on its own shallow copy of that clone, so threaded
-    landscape cells never share parameters. The gradient treats the loss as
-    one scalar function of all parameters (probe detachment is lifted):
-    detached heads make the training gradient field non-conservative, which
-    would break Hessian symmetry and exact ascent. The loss values themselves
-    are identical either way.
+    evaluates each point on its own shallow copy of that clone with fresh
+    parameter arrays, so no evaluation writes into the clone. The gradient
+    treats the loss as one scalar function of all parameters (probe
+    detachment is lifted): detached heads make the training gradient field
+    non-conservative, which would break Hessian symmetry and exact ascent.
+    The loss values themselves are identical either way.
 
     `loss_fn(w, block="fusion")` and `grad_fn(w, block="fusion")` take the
     fusion sub-vector (the fusion spans in order) with every other parameter
@@ -89,7 +84,7 @@ def model_objective(model: MultimodalModel, data):
     work = model.clone()
     work.cfg = replace(work.cfg, head_mode="joint")
     spans = param_spans(work)
-    w0 = flatten_params(work)
+    w0 = np.concatenate([work.params[pid].reshape(-1) for pid, _, _, _ in spans])
     fusion = _fusion_spans(spans)
     fixed = {}
 
@@ -326,28 +321,8 @@ def landscape_grid_of(loss_fn, w0: np.ndarray, blocks: list[tuple[int, int]], gr
 
     d1, d2 = direction(), direction()
     coords = np.linspace(-extent, extent, grid_n)
-    points = [(ix, iy) for ix in range(grid_n) for iy in range(grid_n)]
-
-    def cell(point):
-        ix, iy = point
-        return loss_fn(w0 + coords[ix] * d1 + coords[iy] * d2)
-
-    workers = worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        # numpy keeps its error state per context, and pool threads start
-        # from the default one, so carry the caller's state over
-        err = np.geterr()
-
-        def pooled_cell(point):
-            with np.errstate(**err):
-                return cell(point)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(pooled_cell, points))
-    else:
-        values = [cell(p) for p in points]
+    values = [loss_fn(w0 + coords[ix] * d1 + coords[iy] * d2)
+              for ix in range(grid_n) for iy in range(grid_n)]
     grid = np.asarray(values, dtype=np.float64).reshape(grid_n, grid_n)
     return coords, coords.copy(), grid
 

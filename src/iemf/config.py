@@ -93,7 +93,6 @@ class ExperimentConfig:
     model: ModelConfig
     optim: OptimConfig
     seed: int = 0
-    output_dir: str | None = None
     continual: ContinualSettings = field(default_factory=ContinualSettings)
     analysis: AnalysisSettings = field(default_factory=AnalysisSettings)
 

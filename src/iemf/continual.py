@@ -131,7 +131,7 @@ def _incremental_step(batch: Batch, model: MultimodalModel, cfg: OptimConfig, me
 
     fused_loss = head_loss
     if method == "lwf" and old_model is not None and len(prev_classes) > 0:
-        _, _, old_av, _, _ = network_logits(batch, old_model, None)
+        old_av, _, _ = network_logits(batch, old_model, None)
 
         def fused_loss(logits: Tensor, labels) -> tuple[Tensor, Tensor]:
             return lwf_loss(logits, labels, old_av, ce_classes, prev_classes, temperature, lam, m)
@@ -174,7 +174,7 @@ def train_incremental(stream: TaskStream, method: str, model: MultimodalModel,
                                       scores.xi))
         row = []
         for j in range(k):
-            _, _, logits_av, _, _ = network_logits(stream.tasks[j].test, model, None)
+            logits_av, _, _ = network_logits(stream.tasks[j].test, model, None)
             row.append(top1_accuracy(logits_av, stream.tasks[j].test.y))
         matrix.append(row)
         if on_task is not None:

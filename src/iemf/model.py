@@ -100,8 +100,6 @@ class Batch:
 
 @dataclass
 class ForwardOutputs:
-    z_a: Tensor
-    z_v: Tensor
     logits_av: Tensor
     logits_a: Tensor
     logits_v: Tensor
@@ -128,10 +126,6 @@ class MultimodalModel:
     @staticmethod
     def group_of(param_id: str) -> str:
         return param_id.split(".")[0]
-
-    @property
-    def n_params(self) -> int:
-        return sum(arr.size for arr in self.params.values())
 
     def clone(self) -> "MultimodalModel":
         return MultimodalModel(self.cfg, {k: v.copy() for k, v in self.params.items()})
@@ -192,30 +186,12 @@ def _encode_spiking(x: Tensor, layers: list[tuple[Tensor, Tensor]], lif: LIFPara
     return spikes
 
 
-def fuse_concat(z_a: Tensor, z_v: Tensor, model: MultimodalModel,
-                leaves: dict[str, Tensor] | None = None) -> Tensor:
-    """One step's class logits from the concatenated latents: W_f [z_a ; z_v] + b_f."""
-    if leaves is None:
-        leaves = bind_params(model, None)
-    w, b = leaves["fusion.W"], leaves["fusion.b"]
-    if z_a.shape[1] + z_v.shape[1] != w.shape[1]:
-        raise ShapeError(
-            f"fusion expects latent widths summing to {w.shape[1]}, got {z_a.shape[1]}+{z_v.shape[1]}"
-        )
-    return T.linear(T.concat_cols(z_a, z_v), w, b)
-
-
 def _check_input_widths(batch: Batch, cfg: ModelConfig) -> None:
     if batch.x_a.shape[1] != cfg.d_in_a or batch.x_v.shape[1] != cfg.d_in_v:
         raise ShapeError(
             f"input widths ({batch.x_a.shape[1]}, {batch.x_v.shape[1]}) do not match "
             f"model configuration ({cfg.d_in_a}, {cfg.d_in_v})"
         )
-
-
-def _rates(z: Tensor, steps: int) -> Tensor:
-    """The step average of an untraced copy, so it records nothing on the tape."""
-    return T.step_mean(Tensor(z.data), steps)
 
 
 def step_latents(batch: Batch, model: MultimodalModel,
@@ -258,20 +234,17 @@ def probe_logits(z: Tensor, name: str, model: MultimodalModel,
 
 
 def network_logits(batch: Batch, model: MultimodalModel, tape: Tape | None = None):
-    """Latents plus the three logit sets (fused, audio probe, visual probe).
+    """The three logit sets (fused, audio probe, visual probe).
 
     The fusion layer and the probe heads read every step of `step_latents`
-    and their logits are averaged over the steps; the returned latents are
-    the step averages (the firing rates in spiking mode), which no loss
-    reads, so they are computed off the tape.
+    and their logits are averaged over the steps.
     """
     leaves = bind_params(model, tape)
     za, zv = step_latents(batch, model, leaves)
     logits_av = fused_logits(T.concat_cols(za, zv), model, leaves)
     logits_a = probe_logits(za, "head_a", model, leaves)
     logits_v = probe_logits(zv, "head_v", model, leaves)
-    steps = model.cfg.steps
-    return _rates(za, steps), _rates(zv, steps), logits_av, logits_a, logits_v
+    return logits_av, logits_a, logits_v
 
 
 def head_loss_share(loss_a: Tensor, loss_v: Tensor, cfg: ModelConfig) -> Tensor:
@@ -281,16 +254,16 @@ def head_loss_share(loss_a: Tensor, loss_v: Tensor, cfg: ModelConfig) -> Tensor:
 
 def forward_full(batch: Batch, model: MultimodalModel, tape: Tape | None = None,
                  fused_loss=softmax_cross_entropy, head_loss=softmax_cross_entropy) -> ForwardOutputs:
-    """Full pass: latents, three logit sets, probabilities, and the total loss.
+    """Full pass: three logit sets, their probabilities, and the total loss.
 
     total = fused_loss(fused) + head_loss_weight * (head_loss(audio) + head_loss(visual)) / 2
 
     A criterion maps (logits, labels) to (loss, probabilities); both default to
     plain cross entropy, and continual learning passes masked variants.
     """
-    z_a, z_v, logits_av, logits_a, logits_v = network_logits(batch, model, tape)
+    logits_av, logits_a, logits_v = network_logits(batch, model, tape)
     loss_av, p_av = fused_loss(logits_av, batch.y)
     loss_a, p_a = head_loss(logits_a, batch.y)
     loss_v, p_v = head_loss(logits_v, batch.y)
     loss = T.add(loss_av, head_loss_share(loss_a, loss_v, model.cfg))
-    return ForwardOutputs(z_a, z_v, logits_av, logits_a, logits_v, p_av, p_a, p_v, loss)
+    return ForwardOutputs(logits_av, logits_a, logits_v, p_av, p_a, p_v, loss)

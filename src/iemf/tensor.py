@@ -290,14 +290,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _apply("sum_all", (as_tensor(a),))
 
 
-def softmax(v: Tensor) -> Tensor:
-    """Stabilized softmax over the last axis (1-D vector or batch of rows)."""
-    v = as_tensor(v)
-    if v.data.ndim not in (1, 2) or v.data.size == 0 or v.shape[-1] == 0:
-        raise ShapeError(f"softmax needs a non-empty 1-D or 2-D tensor, got {v.shape}")
-    return _apply("softmax", (v,))
-
-
 def _check_labels(labels, n_rows: int, n_classes: int) -> Array:
     """Labels as one int64 array; non-integer values truncate as `int()` does."""
     y = np.asarray(labels).reshape(-1)
@@ -363,11 +355,6 @@ def _softmax_parts(x: Array) -> tuple[Array, Array, Array]:
     shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return shifted, e, e.sum(axis=-1, keepdims=True)
-
-
-def _softmax_values(x: Array) -> Array:
-    _, e, s = _softmax_parts(x)
-    return e / s
 
 
 def _fwd_softmax_xent(ins, labels):
@@ -454,11 +441,6 @@ def _bwd_sum_all(g, out, ins, aux):
     return [np.full(ins[0].shape, float(g))]
 
 
-def _bwd_softmax(g, out, ins, aux):
-    inner = (g * out).sum(axis=-1, keepdims=True)
-    return [out * (g - inner)]
-
-
 def _bwd_softmax_xent(g, out, ins, labels, probs):
     b = probs.shape[0]
     grad = probs.copy()
@@ -499,7 +481,6 @@ register_op(
 )
 register_op("detach", lambda ins, aux: ins[0], lambda g, out, ins, aux: [None])
 register_op("sum_all", lambda ins, aux: np.asarray(ins[0].sum()), _bwd_sum_all)
-register_op("softmax", lambda ins, aux: _softmax_values(ins[0]), _bwd_softmax)
 register_op("softmax_xent", _fwd_softmax_xent, _bwd_softmax_xent, saves=True)
 register_op("distill_kl", _fwd_distill_kl, _bwd_distill_kl, saves=True)
 

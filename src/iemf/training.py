@@ -179,10 +179,8 @@ def _xent_flops(batch: int, n_classes: int) -> int:
     return 4 * batch * n_classes + 3 * batch
 
 
-def forward_flops(model: MultimodalModel | None, batch: int) -> int:
+def forward_flops(model: MultimodalModel, batch: int) -> int:
     """Nominal forward cost of one batch at the stated counting rules."""
-    if model is None:
-        return 0
     cfg = model.cfg
     total = 0
     if cfg.neuron_mode == "continuous":
@@ -211,10 +209,8 @@ def forward_flops(model: MultimodalModel | None, batch: int) -> int:
     return total
 
 
-def flops_per_epoch(model: MultimodalModel | None, n_train: int, cfg: OptimConfig) -> int:
+def flops_per_epoch(model: MultimodalModel, n_train: int, cfg: OptimConfig) -> int:
     """Training cost of one epoch: (forward + 2x forward for backward) per batch."""
-    if model is None or n_train == 0:
-        return 0
     total = 0
     full, rem = divmod(n_train, cfg.batch_size)
     total += full * 3 * forward_flops(model, cfg.batch_size)

@@ -25,16 +25,6 @@ def seeded_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(stream)])
 
 
-def worker_count() -> int:
-    """Worker cap from IEMF_THREADS; defaults to 1 for determinism."""
-    raw = os.environ.get("IEMF_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
 def fmt(value) -> str:
     """Canonical text form: shortest round-trip repr for floats, str otherwise."""
     if isinstance(value, float):

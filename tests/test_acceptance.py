@@ -335,9 +335,8 @@ def test_criterion_8_sharpness_direction(default_pairs):
             time.monotonic() - t0 + fixture_time, 180.0)
 
 
-def test_criterion_9_determinism(tmp_path, monkeypatch):
+def test_criterion_9_determinism(tmp_path):
     t0 = time.monotonic()
-    monkeypatch.setenv("IEMF_THREADS", "1")
     import json
 
     cfg = {

@@ -1,7 +1,6 @@
 """Contraction recursion, sharpness estimation, loss slices, cost metric, Hessian."""
 
 import hashlib
-import sys
 
 import numpy as np
 import pytest
@@ -264,31 +263,14 @@ def test_landscape_zero_extent_constant_grid():
     assert np.all(grid == grid[0, 0])
 
 
-def test_landscape_threaded_equals_serial(monkeypatch):
-    """Worker threads evaluate every cell with that cell's own parameters."""
-    ds = generate(DataSpec(n_classes=3, d_a=4, d_v=3, train_per_class=8, test_per_class=4, seed=0))
-    model = init_model(ModelConfig(d_in_a=4, d_in_v=3, n_classes=3, hidden=5, latent=4), 0)
-    monkeypatch.setenv("IEMF_THREADS", "1")
-    _, _, serial = landscape_slice(model, ds, grid_n=11, extent=1.0, seed=0)
-    monkeypatch.setenv("IEMF_THREADS", "2")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often, so shared state would show
-    try:
-        _, _, threaded = landscape_slice(model, ds, grid_n=11, extent=1.0, seed=0)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(threaded, serial)
-
-
-def test_landscape_pool_threads_keep_the_callers_numpy_error_state(monkeypatch):
-    """numpy keeps errstate per context; pool threads must not fall back to the default."""
+def test_landscape_cells_keep_the_callers_numpy_error_state():
+    """Every cell is evaluated under the numpy error state the caller set."""
     seen = []
 
     def loss_fn(w):
         seen.append(np.geterr()["over"])
         return float(w @ w)
 
-    monkeypatch.setenv("IEMF_THREADS", "2")
     with np.errstate(over="ignore"):
         landscape_grid_of(loss_fn, np.ones(2), [(0, 2)], grid_n=3, extent=1.0, seed=0)
     assert seen == ["ignore"] * 9

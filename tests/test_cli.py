@@ -53,10 +53,10 @@ def test_train_writes_all_artifacts_and_reruns_identically(workdir):
     for name in ("metrics.csv", "xi_trace.csv", "resolved_config.json", "checkpoint.iemf"):
         assert os.path.exists(os.path.join(out1, name)), name
         assert _read(os.path.join(out1, name)) == _read(os.path.join(out2, name)), name
-    header = open(os.path.join(out1, "metrics.csv")).readline().strip().split(",")
+    header = Path(out1, "metrics.csv").read_text().splitlines()[0].split(",")
     assert header == ["epoch", "train_loss", "train_acc", "test_acc", "mean_xi",
                       "flops_cumulative"]
-    trace_header = open(os.path.join(out1, "xi_trace.csv")).readline().strip().split(",")
+    trace_header = Path(out1, "xi_trace.csv").read_text().splitlines()[0].split(",")
     assert trace_header == ["step", "epoch", "s_unimodal", "s_multimodal", "xi"]
 
 
@@ -92,10 +92,10 @@ def test_continual_outputs(workdir):
     main(["generate", "--config", cfg, "--out", data])
     out = str(tmp / "cl")
     assert main(["continual", "--config", cfg, "--data", data, "--out", out]) == 0
-    matrix_lines = open(os.path.join(out, "accuracy_matrix.csv")).read().strip().splitlines()
+    matrix_lines = Path(out, "accuracy_matrix.csv").read_text().strip().splitlines()
     assert len(matrix_lines) == 2
     assert len(matrix_lines[0].split(",")) == 1 and len(matrix_lines[1].split(",")) == 2
-    metrics = json.loads(open(os.path.join(out, "continual_metrics.json")).read())
+    metrics = json.loads(Path(out, "continual_metrics.json").read_text())
     assert set(metrics) == {"aa", "aia", "afr", "method"}
     assert len(metrics["aa"]) == 2
     assert metrics["method"] == "lwf"
@@ -127,21 +127,21 @@ def test_analyze_contraction_and_cost(workdir, tmp_path):
 
     out = str(tmp / "an")
     assert main(["analyze", "contraction", "--config", str(cfg_b_path), "--out", out]) == 0
-    report = json.loads(open(os.path.join(out, "contraction_report.json")).read())
+    report = json.loads(Path(out, "contraction_report.json").read_text())
     assert report["passed"] and not report["diverged"]
 
     assert main(["analyze", "cost", "--config", str(cfg_b_path), "--out", out]) == 0
-    cost = json.loads(open(os.path.join(out, "cost_report.json")).read())
+    cost = json.loads(Path(out, "cost_report.json").read_text())
     assert set(cost["cost"]) == {"with", "without"}
 
     assert main(["analyze", "sharpness", "--config", str(cfg_b_path), "--data", data,
                  "--out", out]) == 0
-    sharp = json.loads(open(os.path.join(out, "sharpness.json")).read())
+    sharp = json.loads(Path(out, "sharpness.json").read_text())
     assert sharp["n_probes"] == 2
 
     assert main(["analyze", "landscape", "--config", str(cfg_b_path), "--data", data,
                  "--out", out]) == 0
-    lines = open(os.path.join(out, "landscape.csv")).read().strip().splitlines()
+    lines = Path(out, "landscape.csv").read_text().strip().splitlines()
     assert lines[0] == "x,y,loss"
     values = {float(ln.split(",")[2]) for ln in lines[1:]}
     assert len(lines) == 1 + 9
@@ -207,7 +207,7 @@ def test_config_echo_contains_resolved_defaults(workdir):
     out = str(tmp / "run")
     main(["train", "--config", cfg, "--data", data, "--out", out])
     echo_path = os.path.join(out, "resolved_config.json")
-    echo = json.loads(open(echo_path).read())
+    echo = json.loads(Path(echo_path).read_text())
     assert echo["optim"]["weight_decay"] == 1e-4  # default materialized
     assert echo["iemf"]["gating"] == "tanh"
     assert echo["optim"]["mslr"] == {"mult_a": 1.0, "mult_v": 1.0}

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,9 +42,9 @@ def test_round_trip_bit_identical(tmp_path):
 def test_corrupt_magic_rejected(tmp_path):
     path = str(tmp_path / "blob.iemf")
     write_container(path, {"a": np.ones(2)}, {})
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[:4] = b"JUNK"
-    open(path, "wb").write(bytes(raw))
+    Path(path).write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="magic"):
         read_container(path)
 
@@ -51,16 +52,16 @@ def test_corrupt_magic_rejected(tmp_path):
 def test_unsupported_version_rejected(tmp_path):
     path = str(tmp_path / "blob.iemf")
     write_container(path, {"a": np.ones(2)}, {})
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[4:8] = struct.pack("<I", FORMAT_VERSION + 1)
-    open(path, "wb").write(bytes(raw))
+    Path(path).write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="version"):
         read_container(path)
 
 
 def test_truncated_header_rejected(tmp_path):
     path = str(tmp_path / "blob.iemf")
-    open(path, "wb").write(MAGIC + struct.pack("<I", 1) + struct.pack("<Q", 10_000))
+    Path(path).write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<Q", 10_000))
     with pytest.raises(FormatError, match="truncated"):
         read_container(path)
 
@@ -71,7 +72,7 @@ def test_count_shape_mismatch_rejected(tmp_path):
         {"name": "a", "shape": [3], "count": 2, "offset": 0},
     ]}).encode()
     payload = np.zeros(3).astype("<f8").tobytes()
-    open(path, "wb").write(MAGIC + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header + payload)
+    Path(path).write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header + payload)
     with pytest.raises(FormatError, match="count"):
         read_container(path)
 
@@ -83,7 +84,7 @@ def test_overlapping_sections_rejected(tmp_path):
         {"name": "b", "shape": [2], "count": 2, "offset": 8},
     ]}).encode()
     payload = np.zeros(3).astype("<f8").tobytes()
-    open(path, "wb").write(MAGIC + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header + payload)
+    Path(path).write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header + payload)
     with pytest.raises(FormatError, match="overlap"):
         read_container(path)
 
@@ -131,4 +132,4 @@ def test_write_twice_byte_identical(tmp_path):
     ds = generate(DataSpec(n_classes=2, d_a=3, d_v=3, train_per_class=4, test_per_class=2, seed=1))
     save_dataset(p1, ds)
     save_dataset(p2, generate(ds.spec))
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()

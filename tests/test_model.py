@@ -12,10 +12,11 @@ from iemf.model import (
     Batch,
     ModelConfig,
     MultimodalModel,
+    bind_params,
     forward_full,
-    fuse_concat,
+    fused_logits,
     init_model,
-    network_logits,
+    step_latents,
 )
 from iemf.neurons import LIFParams
 from iemf.tensor import Tape, Tensor, backward
@@ -41,8 +42,15 @@ def fixed_batch() -> Batch:
 
 
 def latents(batch: Batch, model: MultimodalModel):
-    """The two latents: the first outputs of `network_logits`."""
-    return network_logits(batch, model)[:2]
+    """The two step-averaged encoder latents (firing rates in spiking mode)."""
+    steps = model.cfg.steps
+    return tuple(T.step_mean(z, steps)
+                 for z in step_latents(batch, model, bind_params(model, None)))
+
+
+def fused(z_a: Tensor, z_v: Tensor, model: MultimodalModel) -> Tensor:
+    """One step's fused logits, built from the production pieces."""
+    return fused_logits(T.concat_cols(z_a, z_v), model, bind_params(model, None))
 
 
 def test_zero_weights_give_zero_latents():
@@ -74,7 +82,7 @@ def test_fuse_concat_constant_bias():
     model = small_model()
     model.params["fusion.W"] = np.zeros_like(model.params["fusion.W"])
     model.params["fusion.b"] = np.full(3, 1.5)
-    logits = fuse_concat(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))), model)
+    logits = fused(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))), model)
     assert np.array_equal(logits.data, np.full((2, 3), 1.5))
 
 
@@ -83,7 +91,7 @@ def test_fuse_concat_projection_block():
     model.params["fusion.W"] = np.concatenate([np.eye(4), np.zeros((4, 4))], axis=1)
     model.params["fusion.b"] = np.zeros(4)
     z_a = Tensor(np.arange(8, dtype=float).reshape(2, 4))
-    logits = fuse_concat(z_a, Tensor(np.ones((2, 4))), model)
+    logits = fused(z_a, Tensor(np.ones((2, 4))), model)
     assert np.array_equal(logits.data, z_a.data)
 
 
@@ -91,14 +99,14 @@ def test_fuse_concat_hand_case():
     model = init_model(ModelConfig(d_in_a=2, d_in_v=2, n_classes=2, latent=2), 0)
     model.params["fusion.W"] = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
     model.params["fusion.b"] = np.array([0.5, 0.0])
-    logits = fuse_concat(Tensor([[1.0, 0.0]]), Tensor([[0.0, 2.0]]), model)
+    logits = fused(Tensor([[1.0, 0.0]]), Tensor([[0.0, 2.0]]), model)
     assert logits.data[0, 0] == 3.5
 
 
 def test_fuse_concat_width_mismatch():
     model = small_model()
     with pytest.raises(ShapeError):
-        fuse_concat(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))), model)
+        fused(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 4))), model)
 
 
 def test_forward_symmetric_model_gives_uniform_fused_probs():
@@ -165,7 +173,7 @@ def test_fusion_locality_matches_manual_concat():
     out = forward_full(batch, model, tape)
     grads = backward(tape, out.loss)
 
-    z = np.concatenate([out.z_a.data, out.z_v.data], axis=1)
+    z = np.concatenate([z.data for z in latents(batch, model)], axis=1)
     tape2 = Tape()
     w = tape2.leaf(model.params["fusion.W"], param_id="w")
     b = tape2.leaf(model.params["fusion.b"], param_id="b")
@@ -178,17 +186,19 @@ def test_fusion_locality_matches_manual_concat():
 
 def test_spiking_and_continuous_outputs_share_shapes():
     batch = fixed_batch()
-    cont = forward_full(batch, small_model())
-    spik = forward_full(batch, small_model(neuron_mode="spiking",
-                                           lif=LIFParams(t_steps=4)))
-    for field in ("z_a", "z_v", "logits_av", "logits_a", "logits_v", "p_av", "p_a", "p_v"):
+    cont_model = small_model()
+    spik_model = small_model(neuron_mode="spiking", lif=LIFParams(t_steps=4))
+    for z_cont, z_spik in zip(latents(batch, cont_model), latents(batch, spik_model)):
+        assert z_cont.shape == z_spik.shape
+    cont, spik = forward_full(batch, cont_model), forward_full(batch, spik_model)
+    for field in ("logits_av", "logits_a", "logits_v", "p_av", "p_a", "p_v"):
         assert getattr(cont, field).shape == getattr(spik, field).shape, field
     assert cont.loss.shape == spik.loss.shape == ()
 
 
 def test_spiking_latents_are_rates():
-    out = forward_full(fixed_batch(), small_model(neuron_mode="spiking"))
-    assert np.all(out.z_a.data >= 0.0) and np.all(out.z_a.data <= 1.0)
+    z_a, _ = latents(fixed_batch(), small_model(neuron_mode="spiking"))
+    assert np.all(z_a.data >= 0.0) and np.all(z_a.data <= 1.0)
 
 
 def test_input_width_mismatch_raises():

@@ -228,8 +228,6 @@ def test_top1_accuracy_cases():
 
 def test_matmul_flops_hand_count():
     assert matmul_flops(2, 2, 1) == 8
-    assert forward_flops(None, 16) == 0
-    assert flops_per_epoch(None, 100, OptimConfig()) == 0
 
 
 def test_flops_double_batches_double_cost():
