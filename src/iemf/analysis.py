@@ -61,6 +61,15 @@ def _fusion_spans(spans):
     return [span for span in spans if MultimodalModel.group_of(span[0]) == "fusion"]
 
 
+def _checked_point(w) -> np.ndarray:
+    """An evaluation point as one float64 vector, checked for finiteness once;
+    the parameters sliced from it are bound unchecked."""
+    w = np.asarray(w, dtype=np.float64)
+    if not np.isfinite(w).all():
+        raise NumericError("non-finite values in the evaluation point")
+    return w
+
+
 def model_objective(model: MultimodalModel, data):
     """(loss_fn, grad_fn, w0, spans) for the full training objective on a batch.
 
@@ -89,6 +98,7 @@ def model_objective(model: MultimodalModel, data):
     fixed = {}
 
     def at(w: np.ndarray) -> MultimodalModel:
+        w = _checked_point(w)
         point = copy.copy(work)
         point.params = {pid: w[start:stop].reshape(shape).copy()
                         for pid, start, stop, shape in spans}
@@ -103,10 +113,10 @@ def model_objective(model: MultimodalModel, data):
             heads = [softmax_cross_entropy(probe_logits(z, name, work, leaves), batch.y)[0]
                      for z, name in zip(latents, ("head_a", "head_v"))]
             fixed.update(cat=T.concat_cols(*latents), head=head_loss_share(*heads, work.cfg))
-        leaves, offset = {}, 0
+        ws, leaves, offset = _checked_point(ws), {}, 0
         for pid, start, stop, shape in fusion:
-            arr = ws[offset:offset + stop - start].reshape(shape).copy()
-            leaves[pid] = Tensor(arr) if tape is None else tape.leaf(arr, param_id=pid)
+            leaf = Tensor._checked(ws[offset:offset + stop - start].reshape(shape).copy())
+            leaves[pid] = leaf if tape is None else tape.leaf(leaf, param_id=pid)
             offset += stop - start
         loss_av, _ = softmax_cross_entropy(fused_logits(fixed["cat"], work, leaves), batch.y)
         return T.add(loss_av, fixed["head"])

@@ -158,10 +158,16 @@ def init_model(cfg: ModelConfig, seed: int) -> MultimodalModel:
 
 
 def bind_params(model: MultimodalModel, tape: Tape | None) -> dict[str, Tensor]:
-    """Parameter tensors for one forward pass; tape leaves when tracing."""
+    """Parameter tensors for one forward pass; tape leaves when tracing.
+
+    The arrays are wrapped without a finiteness check: every parameter is
+    checked where it is written, by `MultimodalModel`, `training.sgd_step`
+    and `analysis.model_objective`'s evaluation points. A non-finite value
+    written into `model.params` directly fails at the first op that reads it.
+    """
     if tape is None:
-        return {pid: Tensor(arr) for pid, arr in model.params.items()}
-    return {pid: tape.leaf(arr, param_id=pid) for pid, arr in model.params.items()}
+        return {pid: Tensor._checked(arr) for pid, arr in model.params.items()}
+    return {pid: tape.leaf(Tensor._checked(arr), param_id=pid) for pid, arr in model.params.items()}
 
 
 def _encode_continuous(x: Tensor, layers: list[tuple[Tensor, Tensor]]) -> Tensor:

@@ -72,7 +72,7 @@ def lif_scan(current: np.ndarray, p: LIFParams, steps: int = 1) -> tuple[np.ndar
         u = u * tau + (current if steps == 1 else current[blk])
         fired = np.add(u, shift, out=shifted[blk]) >= 0.0
         spikes[blk] = fired
-        u[fired] = 0.0  # the hard reset u_pre * (1 - spike), exact since u_pre >= u_th > 0
+        u *= ~fired  # the hard reset u_pre * (1 - spike): a fired u_pre >= u_th > 0 becomes +0.0
     return spikes, shifted
 
 

@@ -13,8 +13,12 @@ scores all read one softmax; `distill_kl` keeps both of its softmaxes.
 
 Every value is checked for finiteness once: op outputs in `_apply`, raw
 arrays where they enter through `Tensor(...)` or `Tape.leaf`, and parameter
-gradients at the end of `backward`. Arrays that already passed are wrapped
-without a second check.
+gradients at the end of `backward`, as one vector. Arrays that already passed
+are wrapped without a second check. Model parameters are such arrays: they
+are checked where they are written (`MultimodalModel`, `sgd_step`, the
+evaluation points of `analysis.model_objective`) and bound unchecked, so a
+non-finite value written into a model some other way fails at the first op
+that reads it.
 
 Shape rules are deliberately narrow: the only broadcast is the bias-row add,
 in `add_bias` and in the fused affine map `linear`.
@@ -513,6 +517,7 @@ def backward(tape: Tape, seed: Tensor) -> GradientSet:
 
     The seed must be a scalar node of this tape. Non-parameter leaves are
     skipped; parameter leaves the seed does not depend on get zero gradients.
+    The gradients are views into one vector, in leaf order, checked once.
     """
     if seed.tape is not tape or seed.node is None:
         raise ContractError("seed is not recorded on this tape")
@@ -533,20 +538,25 @@ def backward(tape: Tape, seed: Tensor) -> GradientSet:
             in_grads = rule.backward(out_grad, node.value, in_values, node.aux, node.saved)
         else:
             in_grads = rule.backward(out_grad, node.value, in_values, node.aux)
+        adjoints[nid] = None  # read by its rule; parameter leaves keep theirs
         for iid, g in zip(node.inputs, in_grads):
             if g is None:
                 continue
             adjoints[iid] = g if adjoints[iid] is None else adjoints[iid] + g
+    params = [(nid, node) for nid, node in enumerate(tape.nodes)
+              if node.op == "leaf" and node.param_id is not None]
+    flat = np.empty(sum(node.value.size for _, node in params))
     grads: dict[str, Tensor] = {}
-    for nid, node in enumerate(tape.nodes):
-        if node.op != "leaf" or node.param_id is None:
-            continue
+    offset = 0
+    for nid, node in params:
         if node.param_id in grads:
             raise ContractError(f"parameter {node.param_id!r} bound twice on one tape")
+        view = flat[offset:offset + node.value.size].reshape(node.value.shape)
+        offset += node.value.size
         g = adjoints[nid] if nid <= seed.node else None
-        arr = np.zeros_like(node.value) if g is None else _as_array(g)
-        _require_finite(arr, "backward")
-        grads[node.param_id] = Tensor._checked(arr)
+        view[...] = 0.0 if g is None else g
+        grads[node.param_id] = Tensor._checked(view)
+    _require_finite(flat, "backward")
     return GradientSet(grads)
 
 

@@ -86,21 +86,32 @@ def sgd_step(model: MultimodalModel, grads: GradientSet, cfg: OptimConfig, xi: f
 
     Encoders use eta times their modality multiplier (1 under vanilla), probe
     heads use plain eta, and weight decay applies to weight matrices only.
-    Everything is staged and validated before the commit, so a failed step (a
-    missing gradient, or a non-finite update from a non-finite gradient, eta
-    or xi) leaves the model unmodified.
+
+    This is where trained parameters are checked for finiteness: each new
+    value is checked once here, and `model.bind_params` binds it unchecked.
+    A finite new value from a finite old one implies a finite update, and the
+    check also catches an overflow of the subtraction itself. Everything is
+    staged and validated before the commit, so a failed step (a missing
+    gradient, a non-finite gradient, eta or xi, or an overflowing update)
+    leaves the model unmodified.
     """
+    lrs: dict[str, float] = {}
     staged: dict[str, np.ndarray] = {}
     for pid, w in model.params.items():
-        if pid not in grads:
-            raise NumericError(f"gradient set is missing {pid}; step aborted")
+        try:
+            g = grads[pid].data
+        except KeyError:
+            raise NumericError(f"gradient set is missing {pid}; step aborted") from None
+        group = model.group_of(pid)
+        lr = lrs.get(group)
+        if lr is None:
+            lr = lrs[group] = _group_lr(group, cfg, xi)
         wd = cfg.weight_decay if pid.endswith(".W") else 0.0
-        delta = _group_lr(model.group_of(pid), cfg, xi) * (grads[pid].data + wd * w)
-        if not np.all(np.isfinite(delta)):
+        new = w - lr * (g + wd * w)
+        if not np.isfinite(new).all():
             raise NumericError(f"non-finite update for {pid}; step aborted")
-        staged[pid] = delta
-    for pid, delta in staged.items():
-        model.params[pid] = model.params[pid] - delta
+        staged[pid] = new
+    model.params.update(staged)
 
 
 def evaluate_accuracy(model: MultimodalModel, batch: Batch) -> float:

@@ -7,7 +7,7 @@ import pytest
 
 import iemf.tensor as T
 from iemf.config import load_config
-from iemf.errors import ShapeError
+from iemf.errors import NumericError, ShapeError
 from iemf.model import (
     Batch,
     ModelConfig,
@@ -211,6 +211,16 @@ def test_batch_validation():
         Batch(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), [0, 1])
     with pytest.raises(ShapeError):
         Batch(Tensor(np.ones((0, 3))), Tensor(np.ones((0, 3))), [])
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_non_finite_parameter_written_directly_fails_at_first_read(traced):
+    """Parameters are bound unchecked, so a NaN written straight into the
+    store is caught by the first op that reads it."""
+    model = small_model()
+    model.params["enc_a.0.W"][0, 0] = np.nan
+    with pytest.raises(NumericError, match="linear"):
+        forward_full(fixed_batch(), model, Tape() if traced else None)
 
 
 def test_clone_is_independent():

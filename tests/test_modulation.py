@@ -302,13 +302,9 @@ def test_descent_direction_preserved():
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-@pytest.mark.parametrize("name, lwf, calls", [
-    ("default", False, 3), ("spiking", False, 3), ("default", True, 6),
-])
-def test_exp_calls_per_step_at_shipped_config_shapes(monkeypatch, name, lwf, calls):
-    """Each criterion computes its softmax once and keeps it for its backward
-    rule and the strength scores: one np.exp per cross entropy, and three for
-    the LwF distillation term (two softmaxes and the teacher's probabilities)."""
+def _counted_step(monkeypatch, numpy_name, name, lwf=False):
+    """Calls of `np.<numpy_name>` in one step at a shipped config's shapes;
+    the step must move the parameters."""
     cfg = load_config(str(CONFIGS / f"{name}.json"))
     model = init_model(cfg.model, cfg.seed)
     rng = np.random.default_rng(0)
@@ -318,17 +314,37 @@ def test_exp_calls_per_step_at_shipped_config_shapes(monkeypatch, name, lwf, cal
                   rng.integers(2, 4, size=b))
     old = model.clone()
     counted = []
-    real_exp = np.exp
+    real = getattr(np, numpy_name)
 
-    def counting_exp(*args, **kwargs):
+    def counting(*args, **kwargs):
         counted.append(1)
-        return real_exp(*args, **kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(np, "exp", counting_exp)
+    monkeypatch.setattr(np, numpy_name, counting)
     if lwf:
         _incremental_step(batch, model, cfg.optim, "lwf", [2, 3], [0, 1], old, 2.0, 1.0)
     else:
         iemf_train_step(batch, model, cfg.optim)
     monkeypatch.undo()
-    assert len(counted) == calls
     assert any(not np.array_equal(model.params[k], old.params[k]) for k in model.params)
+    return len(counted)
+
+
+@pytest.mark.parametrize("name, lwf, calls", [
+    ("default", False, 3), ("spiking", False, 3), ("default", True, 6),
+])
+def test_exp_calls_per_step_at_shipped_config_shapes(monkeypatch, name, lwf, calls):
+    """Each criterion computes its softmax once and keeps it for its backward
+    rule and the strength scores: one np.exp per cross entropy, and three for
+    the LwF distillation term (two softmaxes and the teacher's probabilities)."""
+    assert _counted_step(monkeypatch, "exp", name, lwf) == calls
+
+
+@pytest.mark.parametrize("name, calls", [("default", 36), ("spiking", 45)],
+                         ids=["default", "spiking"])
+def test_isfinite_calls_per_step_at_shipped_config_shapes(monkeypatch, name, calls):
+    """Every value is checked once, where it is made or written: parameters
+    are bound unchecked, `sgd_step` checks each new value, and `backward`
+    checks the parameter gradients as one vector. Before that, a step made
+    63 (default) and 72 (spiking) np.isfinite calls."""
+    assert _counted_step(monkeypatch, "isfinite", name) == calls

@@ -114,17 +114,21 @@ def test_lif_hand_simulated_sequence():
 
 @pytest.mark.parametrize("per_step", [False, True])
 def test_lif_scan_matches_plain_simulation(per_step):
-    """The recurrence, threshold and hard reset agree bit for bit with a
-    step-by-step simulation, for a shared drive and for per-step currents."""
+    """The recurrence, threshold and hard reset agree bit for bit, signs of
+    zero included, with a step-by-step simulation, for a shared drive and for
+    per-step currents; a shared drive also at the 300-row evaluation shape."""
     rng = np.random.default_rng(7)
     p = LIFParams(t_steps=5)
-    currents = [Tensor(rng.standard_normal((6, 4))) for _ in range(p.t_steps if per_step else 1)]
-    current, steps = _stack(currents)
-    spikes, shifted = lif_scan(current.data, p, steps)
-    ref_spikes, ref_shifted = _simulated(currents, p)
-    assert ref_spikes.any() and not ref_spikes.all()
-    assert np.array_equal(spikes, ref_spikes)
-    assert np.array_equal(shifted, ref_shifted)
+    for shape in [(6, 4)] if per_step else [(6, 4), (300, 64)]:
+        currents = [Tensor(rng.standard_normal(shape))
+                    for _ in range(p.t_steps if per_step else 1)]
+        current, steps = _stack(currents)
+        spikes, shifted = lif_scan(current.data, p, steps)
+        ref_spikes, ref_shifted = _simulated(currents, p)
+        assert ref_spikes.any() and not ref_spikes.all()
+        for got, want in ((spikes, ref_spikes), (shifted, ref_shifted)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_spike_binarity_and_reset_invariant():

@@ -9,7 +9,7 @@ import pytest
 
 from iemf.config import load_config
 from iemf.data import DataSpec, generate
-from iemf.errors import ConfigError
+from iemf.errors import ConfigError, NumericError
 from iemf.model import ModelConfig, init_model
 from iemf.modulation import IEMFConfig
 from iemf.neurons import LIFParams
@@ -123,6 +123,19 @@ def test_mslr_multiplier_scales_update_exactly():
             assert np.array_equal(2.0 * base.params[pid], scaled.params[pid]), pid
         else:
             assert np.array_equal(base.params[pid], scaled.params[pid]), pid
+
+
+def test_sgd_overflowing_update_aborts_and_leaves_the_model_untouched():
+    """A finite parameter and a finite update whose difference overflows: the
+    new value is checked before the commit, so no parameter changes."""
+    _, model = small_setup()
+    model.params["head_v.W"] = np.full_like(model.params["head_v.W"], 1.5e308)
+    before = {pid: arr.copy() for pid, arr in model.params.items()}
+    cfg = OptimConfig(eta=1.0, weight_decay=0.0)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="head_v.W"):
+        sgd_step(model, grads_like(model, -1.5e308), cfg, xi=1.0)
+    for pid, arr in before.items():
+        assert np.array_equal(model.params[pid], arr), pid
 
 
 def test_train_lr_epsilon_one_epoch_changes_little_and_lr_path_is_pure():
