@@ -31,7 +31,7 @@ from .model import (
 )
 from .modulation import (
     IEMFConfig,
-    StrengthScores,
+    StepRecord,
     batch_strength_scores,
     iemf_coefficient,
     iemf_train_step,
@@ -39,7 +39,6 @@ from .modulation import (
 )
 from .neurons import LIFParams, lif_layer, relu
 from .tensor import (
-    GradientSet,
     Tape,
     Tensor,
     backward,

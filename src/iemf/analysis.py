@@ -130,9 +130,9 @@ def model_objective(model: MultimodalModel, data):
         tape = Tape()
         if block == "all":
             grads = backward(tape, forward_full(batch, at(w), tape).loss)
-            return np.concatenate([grads[pid].data.reshape(-1) for pid, _, _, _ in spans])
+            return np.concatenate([grads[pid].reshape(-1) for pid, _, _, _ in spans])
         grads = backward(tape, fusion_loss(w, tape, block))
-        return np.concatenate([grads[pid].data.reshape(-1) for pid, _, _, _ in fusion])
+        return np.concatenate([grads[pid].reshape(-1) for pid, _, _, _ in fusion])
 
     return loss_fn, grad_fn, w0, spans
 
@@ -143,18 +143,17 @@ def model_objective(model: MultimodalModel, data):
 
 @dataclass
 class QuadraticProblem:
-    """Quadratic bowl with loss 0.5 * sum_i lambda_i * alpha_i^2.
+    """Quadratic bowl with loss 0.5 * sum_i lambda_i * alpha_i^2 and its minimizer at
+    the origin.
 
-    alpha are coordinates of the deviation from the minimizer in the
-    eigenbasis; a rotation seed draws a random orthogonal basis, None keeps
-    the coordinate basis.
+    alpha are coordinates of the parameters in the eigenbasis; a rotation seed
+    draws a random orthogonal basis, None keeps the coordinate basis.
     """
 
     eigenvalues: list[float]
     alpha0: list[float]
     eta: float
     xi_schedule: list[float]
-    w_star: list[float] | None = None
     rotation_seed: int | None = None
 
     def __post_init__(self):
@@ -165,8 +164,6 @@ class QuadraticProblem:
             raise ContractError("eigenvalues must be sorted ascending")
         if len(self.alpha0) != lam.size:
             raise ContractError("alpha0 must match the eigenvalue count")
-        if self.w_star is not None and len(self.w_star) != lam.size:
-            raise ContractError("w_star must match the eigenvalue count")
         if not self.eta > 0.0:
             raise ContractError("eta must be positive")
         if len(self.xi_schedule) == 0:
@@ -208,19 +205,17 @@ def verify_contraction(problem: QuadraticProblem, steps: int | None = None,
     xis = [problem.xi_schedule[t % len(problem.xi_schedule)] for t in range(steps)]
     basis = _orthogonal_basis(d, problem.rotation_seed)
     hessian = basis @ np.diag(lam) @ basis.T
-    w_star = (np.zeros(d) if problem.w_star is None
-              else np.asarray(problem.w_star, dtype=np.float64))
     alpha = np.asarray(problem.alpha0, dtype=np.float64)
-    w = w_star + basis @ alpha
+    w = basis @ alpha
 
     diverged = bool(problem.eta * max(xis) * lam[-1] >= 2.0)
     norms = [float(np.linalg.norm(alpha))]
     cases = []
     max_residual = 0.0
     for xi in xis:
-        grad = hessian @ (w - w_star)
+        grad = hessian @ w
         w = w - problem.eta * xi * grad
-        alpha_next = basis.T @ (w - w_star)
+        alpha_next = basis.T @ w
         expected = (1.0 - problem.eta * xi * lam) * alpha
         max_residual = max(max_residual, float(np.max(np.abs(alpha_next - expected))))
         cases.append("reduced" if xi < 1.0 else ("equal" if xi == 1.0 else "amplified"))

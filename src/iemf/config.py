@@ -14,6 +14,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
+from .continual import CONTINUAL_METHODS
 from .data import DataSpec
 from .errors import ConfigError
 from .model import ModelConfig
@@ -32,8 +33,8 @@ class ContinualSettings:
     def __post_init__(self):
         if self.tasks < 1 or self.classes_per_task < 1:
             raise ConfigError("tasks and classes_per_task must be positive")
-        if self.method not in ("finetune", "lwf"):
-            raise ConfigError("continual method must be 'finetune' or 'lwf'")
+        if self.method not in CONTINUAL_METHODS:
+            raise ConfigError(f"continual method must be one of {CONTINUAL_METHODS}")
         if self.lwf_temperature <= 0.0:
             raise ConfigError("lwf_temperature must be positive")
         if self.lwf_lambda < 0.0:

@@ -21,7 +21,7 @@ from . import tensor as T
 from .data import Dataset
 from .errors import ConfigError, ContractError
 from .model import Batch, MultimodalModel, network_logits
-from .modulation import StrengthScores, iemf_train_step
+from .modulation import StepRecord, iemf_train_step
 from .tensor import Tensor
 from .training import OptimConfig, XiRecord, iterate_batches, top1_accuracy
 from .util import STREAM_TASKS, STREAM_TRAIN, seeded_rng
@@ -85,27 +85,25 @@ def _mask_row(allowed: Sequence[int], n_classes: int) -> np.ndarray:
     return row
 
 
-def masked_cross_entropy(logits: Tensor, labels, allowed: Sequence[int],
-                         n_classes: int) -> tuple[Tensor, Tensor]:
+def masked_cross_entropy(logits: Tensor, labels,
+                         allowed: Sequence[int]) -> tuple[Tensor, np.ndarray]:
     """Cross entropy over a class subset; blocked logits get an additive -1e30."""
     if len(allowed) == 0:
         raise ContractError("masked cross entropy needs at least one allowed class")
-    masked = T.add_bias(logits, Tensor(_mask_row(allowed, n_classes)))
+    masked = T.add_bias(logits, Tensor(_mask_row(allowed, logits.shape[1])))
     return T.softmax_cross_entropy(masked, labels)
 
 
 def lwf_loss(new_logits: Tensor, labels, old_logits: Tensor, current_classes: Sequence[int],
-             prev_classes: Sequence[int], temperature: float, lam: float,
-             n_classes: int | None = None) -> tuple[Tensor, Tensor]:
+             prev_classes: Sequence[int], temperature: float,
+             lam: float) -> tuple[Tensor, np.ndarray]:
     """Masked CE on the current task plus softened distillation on earlier classes.
 
     loss = CE(new over current classes) + lam * T^2 * KL(soft old || soft new)
     where the KL runs over the previously seen classes. With no previous
     classes (or lam = 0) the distillation term is exactly zero.
     """
-    if n_classes is None:
-        n_classes = new_logits.shape[1]
-    ce, probs = masked_cross_entropy(new_logits, labels, current_classes, n_classes)
+    ce, probs = masked_cross_entropy(new_logits, labels, current_classes)
     if len(prev_classes) == 0 or lam == 0.0:
         return ce, probs
     new_sel = T.select_cols(new_logits, prev_classes)
@@ -117,27 +115,24 @@ def lwf_loss(new_logits: Tensor, labels, old_logits: Tensor, current_classes: Se
 def _incremental_step(batch: Batch, model: MultimodalModel, cfg: OptimConfig, method: str,
                       ce_classes: Sequence[int], prev_classes: Sequence[int],
                       old_model: MultimodalModel | None, temperature: float,
-                      lam: float) -> StrengthScores:
+                      lam: float) -> StepRecord:
     """One modulated step of standard training, with masked criteria.
 
     The probe heads use cross entropy masked to `ce_classes`, and so does the
     fused output, except under LwF with earlier classes: there it also
     distils the pre-task model's fused logits on `prev_classes`.
     """
-    m = model.cfg.n_classes
-
-    def head_loss(logits: Tensor, labels) -> tuple[Tensor, Tensor]:
-        return masked_cross_entropy(logits, labels, ce_classes, m)
+    def head_loss(logits: Tensor, labels) -> tuple[Tensor, np.ndarray]:
+        return masked_cross_entropy(logits, labels, ce_classes)
 
     fused_loss = head_loss
     if method == "lwf" and old_model is not None and len(prev_classes) > 0:
         old_av, _, _ = network_logits(batch, old_model, None)
 
-        def fused_loss(logits: Tensor, labels) -> tuple[Tensor, Tensor]:
-            return lwf_loss(logits, labels, old_av, ce_classes, prev_classes, temperature, lam, m)
+        def fused_loss(logits: Tensor, labels) -> tuple[Tensor, np.ndarray]:
+            return lwf_loss(logits, labels, old_av, ce_classes, prev_classes, temperature, lam)
 
-    scores, _ = iemf_train_step(batch, model, cfg, fused_loss, head_loss)
-    return scores
+    return iemf_train_step(batch, model, cfg, fused_loss, head_loss)
 
 
 def train_incremental(stream: TaskStream, method: str, model: MultimodalModel,
@@ -166,12 +161,11 @@ def train_incremental(stream: TaskStream, method: str, model: MultimodalModel,
             for idx in iterate_batches(n, cfg.batch_size, perm):
                 batch = task.train.subset(idx)
                 step += 1
-                scores = _incremental_step(
+                rec = _incremental_step(
                     batch, model, cfg, method, ce_classes, prev_classes,
                     old_model, lwf_temperature, lwf_lambda,
                 )
-                trace.append(XiRecord(step, epoch, scores.s_unimodal, scores.s_multimodal,
-                                      scores.xi))
+                trace.append(XiRecord(step, epoch, rec.s_unimodal, rec.s_multimodal, rec.xi))
         row = []
         for j in range(k):
             logits_av, _, _ = network_logits(stream.tasks[j].test, model, None)

@@ -10,7 +10,9 @@ outputs, in ``joint`` mode they train the encoders too.
 Spiking mode injects the same input current at every step (direct coding) and
 decodes by averaging the fusion-layer output over the steps (rate decoding).
 Every layer runs all T steps as one tape node over the stacked (T*B, N) rows,
-step t in rows t*B to (t+1)*B; continuous mode is the one-step case.
+step t in rows t*B to (t+1)*B; continuous mode is the one-step case, and the
+mode picks only each layer's activation. A forward pass returns its logits and
+loss as tensors, for `backward`, and the criteria's probabilities as arrays.
 """
 
 from __future__ import annotations
@@ -103,9 +105,9 @@ class ForwardOutputs:
     logits_av: Tensor
     logits_a: Tensor
     logits_v: Tensor
-    p_av: Tensor
-    p_a: Tensor
-    p_v: Tensor
+    p_av: np.ndarray
+    p_a: np.ndarray
+    p_v: np.ndarray
     loss: Tensor
 
 
@@ -170,26 +172,19 @@ def bind_params(model: MultimodalModel, tape: Tape | None) -> dict[str, Tensor]:
     return {pid: tape.leaf(Tensor._checked(arr), param_id=pid) for pid, arr in model.params.items()}
 
 
-def _encode_continuous(x: Tensor, layers: list[tuple[Tensor, Tensor]]) -> Tensor:
-    z = x
+def _encode(x: Tensor, layers: list[tuple[Tensor, Tensor]], cfg: ModelConfig) -> Tensor:
+    """Encoder stack: a ReLU between continuous layers, a T-step LIF layer after
+    every spiking one. The first drive is the same at every step, so it is
+    computed once: rows stack one step up to the first LIF layer, T after it.
+    """
+    z, steps = x, 1
     for i, (w, b) in enumerate(layers):
-        z = T.linear(z, w, b)
-        if i < len(layers) - 1:
+        z = T.linear(z, w, b, steps)
+        if cfg.neuron_mode == "spiking":
+            z, steps = lif_layer(z, cfg.lif, steps), cfg.steps
+        elif i < len(layers) - 1:
             z = relu(z)
     return z
-
-
-def _encode_spiking(x: Tensor, layers: list[tuple[Tensor, Tensor]], lif: LIFParams) -> Tensor:
-    """T-step LIF stack, one node per layer; returns the last layer's stacked spikes.
-
-    The first layer's drive is the affine image of the input, identical at
-    every step, so it is computed once and shared by every step.
-    """
-    (w0, b0), *deeper = layers
-    spikes = lif_layer(T.linear(x, w0, b0), lif)
-    for w, b in deeper:
-        spikes = lif_layer(T.linear(spikes, w, b, lif.t_steps), lif, lif.t_steps)
-    return spikes
 
 
 def _check_input_widths(batch: Batch, cfg: ModelConfig) -> None:
@@ -212,9 +207,7 @@ def step_latents(batch: Batch, model: MultimodalModel,
 
     def latents(x: Tensor, modality: str) -> Tensor:
         layers = [(leaves[w_id], leaves[b_id]) for w_id, b_id in model.encoder_param_ids(modality)]
-        if cfg.neuron_mode == "continuous":
-            return _encode_continuous(x, layers)
-        return _encode_spiking(x, layers, cfg.lif)
+        return _encode(x, layers, cfg)
 
     return latents(batch.x_a, "a"), latents(batch.x_v, "v")
 
@@ -264,8 +257,8 @@ def forward_full(batch: Batch, model: MultimodalModel, tape: Tape | None = None,
 
     total = fused_loss(fused) + head_loss_weight * (head_loss(audio) + head_loss(visual)) / 2
 
-    A criterion maps (logits, labels) to (loss, probabilities); both default to
-    plain cross entropy, and continual learning passes masked variants.
+    A criterion maps (logits, labels) to (loss, probability array); both default
+    to plain cross entropy, and continual learning passes masked variants.
     """
     logits_av, logits_a, logits_v = network_logits(batch, model, tape)
     loss_av, p_av = fused_loss(logits_av, batch.y)

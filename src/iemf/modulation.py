@@ -10,7 +10,8 @@ scales only the fusion layer's gradient: weak unimodal evidence pushes xi
 toward 2*gamma and accelerates fusion learning, strong unimodal evidence pulls
 it toward 0. The gate is a bounded odd saturating function (tanh by default),
 so 0 < xi < 2*gamma and the update never reverses the descent direction. xi is
-treated as a constant scalar: no gradient flows through the score computation.
+treated as a constant scalar: no gradient flows through the score computation,
+which reads the criteria's probabilities as plain arrays, off the tape.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .model import Batch, MultimodalModel, forward_full
-from .tensor import Tape, Tensor, backward, softmax_cross_entropy
+from .tensor import Tape, backward, softmax_cross_entropy
 
 log = logging.getLogger(__name__)
 
@@ -55,42 +56,36 @@ class IEMFConfig:
 
 
 @dataclass
-class StrengthScores:
-    """Batch-level confidence scores and the resulting fusion coefficient."""
+class StepRecord:
+    """Strength scores, fusion coefficient, loss and top-1 accuracy of one step."""
 
     s_unimodal: float
     s_multimodal: float
     xi: float
-    batch_size: int
-
-
-@dataclass
-class StepMetrics:
     loss: float
     accuracy: float
-    xi: float
 
 
-def per_sample_content(probs: Tensor, labels) -> Tensor:
+def per_sample_content(probs: np.ndarray, labels) -> np.ndarray:
     """Probability each sample's head assigned to its true label: c_i = probs[i, y_i]."""
-    arr = probs.data
-    if arr.ndim != 2:
+    if probs.ndim != 2:
         raise ContractError(f"probabilities must be (B,M), got shape {probs.shape}")
     # np.allclose(row_sums, 1.0, atol=1e-9) written out: its default rtol is
     # 1e-5, and NaN or infinite sums fail the comparison
-    if not (np.abs(arr.sum(axis=1) - 1.0) <= 1e-9 + 1e-5).all():
+    if not (np.abs(probs.sum(axis=1) - 1.0) <= 1e-9 + 1e-5).all():
         raise ContractError("probability rows must sum to 1")
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
-    if y.shape[0] != arr.shape[0]:
-        raise ContractError(f"expected {arr.shape[0]} labels, got {y.shape[0]}")
-    if y.min() < 0 or y.max() >= arr.shape[1]:
+    if y.shape[0] != probs.shape[0]:
+        raise ContractError(f"expected {probs.shape[0]} labels, got {y.shape[0]}")
+    if y.min() < 0 or y.max() >= probs.shape[1]:
         raise IndexError("label out of range")
-    return Tensor._checked(arr[np.arange(arr.shape[0]), y])
+    return probs[np.arange(probs.shape[0]), y]
 
 
-def batch_strength_scores(c_a: Tensor, c_v: Tensor, c_av: Tensor) -> tuple[float, float]:
+def batch_strength_scores(c_a: np.ndarray, c_v: np.ndarray,
+                          c_av: np.ndarray) -> tuple[float, float]:
     """Means over the batch: ((sum c_a + sum c_v) / 2B, mean c_av)."""
-    a, v, av = c_a.data.reshape(-1), c_v.data.reshape(-1), c_av.data.reshape(-1)
+    a, v, av = c_a.reshape(-1), c_v.reshape(-1), c_av.reshape(-1)
     if not (a.shape == v.shape == av.shape):
         raise ContractError("per-sample content vectors must have equal length")
     if a.shape[0] < 1:
@@ -115,7 +110,7 @@ def iemf_coefficient(s_unimodal: float, s_multimodal: float, cfg: IEMFConfig) ->
 
 def iemf_train_step(batch: Batch, model: MultimodalModel, cfg,
                     fused_loss=softmax_cross_entropy,
-                    head_loss=softmax_cross_entropy) -> tuple[StrengthScores, StepMetrics]:
+                    head_loss=softmax_cross_entropy) -> StepRecord:
     """One modulated SGD step: forward, scores, coefficient, backward, update.
 
     The criteria go to `forward_full`; the scores read the probabilities they
@@ -137,10 +132,5 @@ def iemf_train_step(batch: Batch, model: MultimodalModel, cfg,
     xi = iemf_coefficient(s_unimodal, s_multimodal, icfg) if icfg.enabled else 1.0
     grads = backward(tape, out.loss)
     sgd_step(model, grads, cfg, xi)
-    scores = StrengthScores(s_unimodal, s_multimodal, xi, batch.size)
-    metrics = StepMetrics(
-        loss=out.loss.item(),
-        accuracy=top1_accuracy(out.logits_av, batch.y),
-        xi=xi,
-    )
-    return scores, metrics
+    return StepRecord(s_unimodal, s_multimodal, xi, out.loss.item(),
+                      top1_accuracy(out.logits_av, batch.y))

@@ -10,6 +10,8 @@ values only. The criteria use it to compute each softmax once:
 `softmax_xent` keeps its probabilities, and `softmax_cross_entropy` hands
 that same array to its caller, so the loss, its gradient and the confidence
 scores all read one softmax; `distill_kl` keeps both of its softmaxes.
+A `Tensor` is only what an op records or reads: results that leave the tape,
+those probabilities and the gradients `backward` returns, are numpy arrays.
 
 Every value is checked for finiteness once: op outputs in `_apply`, raw
 arrays where they enter through `Tensor(...)` or `Tape.leaf`, and parameter
@@ -31,7 +33,6 @@ their results equal the per-step composition bit for bit.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -312,13 +313,13 @@ def _check_labels(labels, n_rows: int, n_classes: int) -> Array:
     return np.array(y, dtype=np.int64)
 
 
-def softmax_cross_entropy(logits: Tensor, labels) -> tuple[Tensor, Tensor]:
+def softmax_cross_entropy(logits: Tensor, labels) -> tuple[Tensor, Array]:
     """Mean of -ln softmax(logits)[y] over the batch.
 
     Returns (scalar loss, per-sample probabilities). The op computes the
     softmax once and keeps it for its backward rule; the probabilities
-    returned are that kept array, untraced: they feed confidence probes,
-    never gradients.
+    returned are that kept array itself, a plain (B,M) array: they feed
+    confidence probes, never gradients.
     """
     logits = as_tensor(logits)
     if logits.data.ndim != 2 or logits.shape[0] == 0 or logits.shape[1] == 0:
@@ -326,7 +327,7 @@ def softmax_cross_entropy(logits: Tensor, labels) -> tuple[Tensor, Tensor]:
     labels = _check_labels(labels, logits.shape[0], logits.shape[1])
     loss, probs = _run("softmax_xent", (logits,), labels)
     _require_finite(probs, "softmax_xent probabilities")
-    return _record("softmax_xent", (logits,), loss, labels, probs), Tensor._checked(probs)
+    return _record("softmax_xent", (logits,), loss, labels, probs), probs
 
 
 def distill_kl(new_logits: Tensor, old_logits: Tensor, temperature: float) -> Tensor:
@@ -493,31 +494,13 @@ register_op("distill_kl", _fwd_distill_kl, _bwd_distill_kl, saves=True)
 # reverse pass
 
 
-class GradientSet(Mapping):
-    """Gradients keyed by parameter id; each entry matches its parameter's shape."""
-
-    def __init__(self, grads: dict[str, Tensor]):
-        self._grads = dict(grads)
-
-    def __getitem__(self, key: str) -> Tensor:
-        return self._grads[key]
-
-    def __iter__(self):
-        return iter(self._grads)
-
-    def __len__(self) -> int:
-        return len(self._grads)
-
-    def __repr__(self) -> str:
-        return f"GradientSet({sorted(self._grads)})"
-
-
-def backward(tape: Tape, seed: Tensor) -> GradientSet:
+def backward(tape: Tape, seed: Tensor) -> dict[str, Array]:
     """Accumulate d(seed)/d(param) for every parameter leaf on the tape.
 
     The seed must be a scalar node of this tape. Non-parameter leaves are
     skipped; parameter leaves the seed does not depend on get zero gradients.
-    The gradients are views into one vector, in leaf order, checked once.
+    Returns one array per parameter id, shaped like its parameter: views
+    into one vector, in leaf order, checked once.
     """
     if seed.tape is not tape or seed.node is None:
         raise ContractError("seed is not recorded on this tape")
@@ -546,7 +529,7 @@ def backward(tape: Tape, seed: Tensor) -> GradientSet:
     params = [(nid, node) for nid, node in enumerate(tape.nodes)
               if node.op == "leaf" and node.param_id is not None]
     flat = np.empty(sum(node.value.size for _, node in params))
-    grads: dict[str, Tensor] = {}
+    grads: dict[str, Array] = {}
     offset = 0
     for nid, node in params:
         if node.param_id in grads:
@@ -555,9 +538,9 @@ def backward(tape: Tape, seed: Tensor) -> GradientSet:
         offset += node.value.size
         g = adjoints[nid] if nid <= seed.node else None
         view[...] = 0.0 if g is None else g
-        grads[node.param_id] = Tensor._checked(view)
+        grads[node.param_id] = view
     _require_finite(flat, "backward")
-    return GradientSet(grads)
+    return grads
 
 
 def replay_forward(tape: Tape) -> bool:

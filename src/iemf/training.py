@@ -9,7 +9,7 @@ import numpy as np
 from .errors import ConfigError, NumericError
 from .model import Batch, MultimodalModel, forward_full
 from .modulation import IEMFConfig, iemf_train_step
-from .tensor import GradientSet, Tensor
+from .tensor import Tensor
 from .util import STREAM_TRAIN, seeded_rng
 
 METHODS = ("vanilla", "mslr")
@@ -81,7 +81,8 @@ def _group_lr(group: str, cfg: OptimConfig, xi: float) -> float:
     return cfg.eta * 1.0
 
 
-def sgd_step(model: MultimodalModel, grads: GradientSet, cfg: OptimConfig, xi: float = 1.0) -> None:
+def sgd_step(model: MultimodalModel, grads: dict[str, np.ndarray], cfg: OptimConfig,
+             xi: float = 1.0) -> None:
     """Per-group SGD step; the fusion layer's learning rate is eta * xi.
 
     Encoders use eta times their modality multiplier (1 under vanilla), probe
@@ -99,7 +100,7 @@ def sgd_step(model: MultimodalModel, grads: GradientSet, cfg: OptimConfig, xi: f
     staged: dict[str, np.ndarray] = {}
     for pid, w in model.params.items():
         try:
-            g = grads[pid].data
+            g = grads[pid]
         except KeyError:
             raise NumericError(f"gradient set is missing {pid}; step aborted") from None
         group = model.group_of(pid)
@@ -149,13 +150,11 @@ def train(dataset, model: MultimodalModel, cfg: OptimConfig, on_epoch=None):
         for idx in iterate_batches(n, cfg.batch_size, perm):
             batch = train_batch.subset(idx)
             step += 1
-            scores, sm = iemf_train_step(batch, model, cfg)
-            epoch_trace.append(
-                XiRecord(step, epoch, scores.s_unimodal, scores.s_multimodal, scores.xi)
-            )
-            loss_sum += sm.loss * batch.size
-            correct_sum += sm.accuracy * batch.size
-            xi_sum += sm.xi
+            rec = iemf_train_step(batch, model, cfg)
+            epoch_trace.append(XiRecord(step, epoch, rec.s_unimodal, rec.s_multimodal, rec.xi))
+            loss_sum += rec.loss * batch.size
+            correct_sum += rec.accuracy * batch.size
+            xi_sum += rec.xi
             n_steps += 1
         metrics = EpochMetrics(
             epoch=epoch,
@@ -191,30 +190,23 @@ def _xent_flops(batch: int, n_classes: int) -> int:
 
 
 def forward_flops(model: MultimodalModel, batch: int) -> int:
-    """Nominal forward cost of one batch at the stated counting rules."""
+    """Nominal forward cost of one batch; every layer counts once per time step."""
     cfg = model.cfg
-    total = 0
-    if cfg.neuron_mode == "continuous":
-        for modality in ("a", "v"):
-            widths = cfg.encoder_widths(modality)
-            for i in range(cfg.depth):
-                total += _affine_flops(batch, widths[i], widths[i + 1])
-                if i < cfg.depth - 1:
-                    total += batch * widths[i + 1]  # relu
-        total += _affine_flops(batch, 2 * cfg.latent, cfg.n_classes)
-        total += 2 * _affine_flops(batch, cfg.latent, cfg.n_classes)
-    else:
-        t_steps = cfg.lif.t_steps
-        per_step = 0
-        for modality in ("a", "v"):
-            widths = cfg.encoder_widths(modality)
-            for i in range(cfg.depth):
-                per_step += _affine_flops(batch, widths[i], widths[i + 1])
+    spiking = cfg.neuron_mode == "spiking"
+    per_step = 0
+    for modality in ("a", "v"):
+        widths = cfg.encoder_widths(modality)
+        for i in range(cfg.depth):
+            per_step += _affine_flops(batch, widths[i], widths[i + 1])
+            if spiking:
                 per_step += 5 * batch * widths[i + 1]  # leaky accumulate, fire, reset
-        per_step += _affine_flops(batch, 2 * cfg.latent, cfg.n_classes)
-        per_step += 2 * _affine_flops(batch, cfg.latent, cfg.n_classes)
-        total += t_steps * per_step
-        total += 3 * t_steps * batch * cfg.n_classes  # rate-decoding averages
+            elif i < cfg.depth - 1:
+                per_step += batch * widths[i + 1]  # relu
+    per_step += _affine_flops(batch, 2 * cfg.latent, cfg.n_classes)
+    per_step += 2 * _affine_flops(batch, cfg.latent, cfg.n_classes)
+    total = cfg.steps * per_step
+    if spiking:
+        total += 3 * cfg.steps * batch * cfg.n_classes  # rate-decoding averages
     total += 3 * _xent_flops(batch, cfg.n_classes)
     total += 4  # scalar loss combination
     return total

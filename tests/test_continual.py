@@ -72,8 +72,8 @@ def test_task_stream_needs_enough_classes():
 
 def test_masked_cross_entropy_restricts_support():
     logits = Tensor([[5.0, 1.0, -2.0, 3.0]])
-    loss, probs = masked_cross_entropy(logits, [1], [1, 2], 4)
-    assert probs.data[0, 0] == 0.0 and probs.data[0, 3] == 0.0
+    loss, probs = masked_cross_entropy(logits, [1], [1, 2])
+    assert probs[0, 0] == 0.0 and probs[0, 3] == 0.0
     expected = -math.log(math.exp(1.0) / (math.exp(1.0) + math.exp(-2.0)))
     assert abs(loss.item() - expected) < 1e-12
 
@@ -82,14 +82,14 @@ def test_lwf_loss_lambda_zero_is_masked_ce():
     logits = Tensor([[0.5, -0.2, 1.0, 0.0]])
     old = Tensor([[0.1, 0.2, 0.3, 0.4]])
     full, _ = lwf_loss(logits, [2], old, [2, 3], [0, 1], temperature=2.0, lam=0.0)
-    ce, _ = masked_cross_entropy(logits, [2], [2, 3], 4)
+    ce, _ = masked_cross_entropy(logits, [2], [2, 3])
     assert full.item() == ce.item()
 
 
 def test_lwf_loss_identical_logits_zero_distillation():
     logits = Tensor([[0.5, -0.2, 1.0, 0.0]])
     full, _ = lwf_loss(logits, [2], logits, [2, 3], [0, 1], temperature=2.0, lam=1.0)
-    ce, _ = masked_cross_entropy(logits, [2], [2, 3], 4)
+    ce, _ = masked_cross_entropy(logits, [2], [2, 3])
     assert abs(full.item() - ce.item()) < 1e-15
 
 
@@ -97,7 +97,7 @@ def test_lwf_loss_empty_previous_classes_drops_distillation():
     logits = Tensor([[0.5, -0.2]])
     old = Tensor([[9.0, -9.0]])
     full, _ = lwf_loss(logits, [0], old, [0, 1], [], temperature=2.0, lam=1.0)
-    ce, _ = masked_cross_entropy(logits, [0], [0, 1], 2)
+    ce, _ = masked_cross_entropy(logits, [0], [0, 1])
     assert full.item() == ce.item()
 
 

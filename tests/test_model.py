@@ -115,7 +115,7 @@ def test_forward_symmetric_model_gives_uniform_fused_probs():
         model.params[pid] = np.ones_like(model.params[pid]) * 0.3
     batch = Batch(Tensor([[1.0, 1.0]]), Tensor([[1.0, 1.0]]), [0])
     out = forward_full(batch, model)
-    assert np.allclose(out.p_av.data, [[0.5, 0.5]], atol=1e-15)
+    assert np.allclose(out.p_av, [[0.5, 0.5]], atol=1e-15)
 
 
 def test_forward_perfect_fused_logits_leave_head_losses():
@@ -137,7 +137,7 @@ def test_forward_golden_loss():
 def test_probability_rows_sum_to_one():
     out = forward_full(fixed_batch(), small_model())
     for p in (out.p_av, out.p_a, out.p_v):
-        assert np.max(np.abs(p.data.sum(axis=1) - 1.0)) < 1e-12
+        assert np.max(np.abs(p.sum(axis=1) - 1.0)) < 1e-12
 
 
 def test_probe_isolation_detached_heads_leave_encoders_untouched():
@@ -150,9 +150,9 @@ def test_probe_isolation_detached_heads_leave_encoders_untouched():
     grads = backward(tape, T.add(ce_a, ce_v))
     for pid in model.params:
         if model.group_of(pid).startswith("enc"):
-            assert np.array_equal(grads[pid].data, np.zeros_like(model.params[pid])), pid
+            assert np.array_equal(grads[pid], np.zeros_like(model.params[pid])), pid
         if model.group_of(pid).startswith("head"):
-            assert np.any(grads[pid].data != 0.0), pid
+            assert np.any(grads[pid] != 0.0), pid
 
 
 def test_joint_mode_heads_reach_encoders():
@@ -162,7 +162,7 @@ def test_joint_mode_heads_reach_encoders():
     out = forward_full(batch, model, tape)
     ce_a, _ = T.softmax_cross_entropy(out.logits_a, batch.y)
     grads = backward(tape, ce_a)
-    assert np.any(grads["enc_a.0.W"].data != 0.0)
+    assert np.any(grads["enc_a.0.W"] != 0.0)
 
 
 def test_fusion_locality_matches_manual_concat():
@@ -180,8 +180,8 @@ def test_fusion_locality_matches_manual_concat():
     logits = T.add_bias(T.matmul(tape2.leaf(z), T.transpose(w)), b)
     ce, _ = T.softmax_cross_entropy(logits, batch.y)
     manual = backward(tape2, ce)
-    assert np.max(np.abs(grads["fusion.W"].data - manual["w"].data)) < 1e-12
-    assert np.max(np.abs(grads["fusion.b"].data - manual["b"].data)) < 1e-12
+    assert np.max(np.abs(grads["fusion.W"] - manual["w"])) < 1e-12
+    assert np.max(np.abs(grads["fusion.b"] - manual["b"])) < 1e-12
 
 
 def test_spiking_and_continuous_outputs_share_shapes():

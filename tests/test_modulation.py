@@ -20,7 +20,7 @@ from iemf.modulation import (
     iemf_train_step,
     per_sample_content,
 )
-from iemf.tensor import GradientSet, Tensor
+from iemf.tensor import Tensor
 from iemf.training import OptimConfig, sgd_step
 
 # frozen seed-0 one-step regression values (generated once)
@@ -29,26 +29,26 @@ GOLDEN_STEP = dict(loss=3.2032050047817977, xi=1.2575576007470575,
 
 
 def test_per_sample_content_uniform():
-    probs = Tensor(np.full((3, 4), 0.25))
-    c = per_sample_content(probs, [0, 1, 3])
-    assert np.array_equal(c.data, [0.25, 0.25, 0.25])
+    c = per_sample_content(np.full((3, 4), 0.25), [0, 1, 3])
+    assert np.array_equal(c, [0.25, 0.25, 0.25])
 
 
 def test_per_sample_content_one_hot():
-    probs = Tensor(np.eye(3))
-    assert np.array_equal(per_sample_content(probs, [0, 1, 2]).data, np.ones(3))
+    assert np.array_equal(per_sample_content(np.eye(3), [0, 1, 2]), np.ones(3))
 
 
 def test_per_sample_content_reads_label_column():
-    c = per_sample_content(Tensor([[1.0 / 3.0, 2.0 / 3.0]]), [1])
-    assert c.data[0] == 2.0 / 3.0
+    c = per_sample_content(np.array([[1.0 / 3.0, 2.0 / 3.0]]), [1])
+    assert c[0] == 2.0 / 3.0
 
 
 def test_per_sample_content_rejects_bad_rows():
     with pytest.raises(ContractError):
-        per_sample_content(Tensor([[0.9, 0.3]]), [0])
+        per_sample_content(np.array([[0.9, 0.3]]), [0])
+    with pytest.raises(ContractError):
+        per_sample_content(np.array([[0.5, 0.5]]), [0, 1])
     with pytest.raises(IndexError):
-        per_sample_content(Tensor([[0.5, 0.5]]), [2])
+        per_sample_content(np.array([[0.5, 0.5]]), [2])
 
 
 def test_per_sample_content_row_sum_edge_matches_allclose():
@@ -71,7 +71,7 @@ def test_per_sample_content_row_sum_edge_matches_allclose():
                 arr = np.array(batch)
                 want = bool(np.allclose(arr.sum(axis=1), 1.0, atol=1e-9))
                 try:
-                    per_sample_content(Tensor._checked(arr), [0] * len(batch))
+                    per_sample_content(arr, [0] * len(batch))
                     got = True
                 except ContractError:
                     got = False
@@ -81,21 +81,22 @@ def test_per_sample_content_row_sum_edge_matches_allclose():
 
 
 def test_batch_strength_scores_constant():
-    c = Tensor([0.4, 0.4])
+    c = np.array([0.4, 0.4])
     assert batch_strength_scores(c, c, c) == (0.4, 0.4)
 
 
 def test_batch_strength_scores_hand_cases():
     s_uni, s_multi = batch_strength_scores(
-        Tensor([0.2, 0.4]), Tensor([0.6, 0.8]), Tensor([0.5, 0.7])
+        np.array([0.2, 0.4]), np.array([0.6, 0.8]), np.array([0.5, 0.7])
     )
     assert abs(s_uni - 0.5) < 1e-15 and abs(s_multi - 0.6) < 1e-15
-    s_uni, s_multi = batch_strength_scores(Tensor([1.0]), Tensor([0.0]), Tensor([1.0]))
+    s_uni, s_multi = batch_strength_scores(np.array([1.0]), np.array([0.0]),
+                                            np.array([1.0]))
     assert (s_uni, s_multi) == (0.5, 1.0)
 
 
 def test_batch_strength_scores_empty_batch():
-    empty = Tensor(np.zeros(0))
+    empty = np.zeros(0)
     with pytest.raises(ContractError):
         batch_strength_scores(empty, empty, empty)
 
@@ -169,7 +170,7 @@ def small_setup(batch_size=6):
 
 
 def zero_grads(model):
-    return GradientSet({pid: Tensor(np.zeros_like(arr)) for pid, arr in model.params.items()})
+    return {pid: np.zeros_like(arr) for pid, arr in model.params.items()}
 
 
 def test_modulated_update_hand_case():
@@ -177,8 +178,8 @@ def test_modulated_update_hand_case():
     _, model, _ = small_setup()
     model = MultimodalModel(model.cfg, {"fusion.W": [[1.0]], "fusion.b": [0.0],
                                         "head_a.W": [[1.0]]})
-    grads = GradientSet({"fusion.W": Tensor([[2.0]]), "fusion.b": Tensor([0.0]),
-                         "head_a.W": Tensor([[2.0]])})
+    grads = {"fusion.W": np.array([[2.0]]), "fusion.b": np.array([0.0]),
+             "head_a.W": np.array([[2.0]])}
     sgd_step(model, grads, OptimConfig(eta=0.1, weight_decay=0.0), xi=1.5)
     assert abs(model.params["fusion.W"][0, 0] - 0.7) < 1e-15
     assert abs(model.params["head_a.W"][0, 0] - 0.8) < 1e-15
@@ -195,13 +196,11 @@ def test_modulated_update_zero_gradient_is_identity():
 def test_modulated_update_xi_one_equals_plain_sgd():
     _, model, _ = small_setup()
     twin = model.clone()
-    grads = GradientSet({
-        pid: Tensor(np.full_like(arr, -0.5 if pid.endswith(".b") else 0.25))
-        for pid, arr in model.params.items()
-    })
+    grads = {pid: np.full_like(arr, -0.5 if pid.endswith(".b") else 0.25)
+             for pid, arr in model.params.items()}
     sgd_step(model, grads, OptimConfig(eta=0.05, weight_decay=0.0), xi=1.0)
     for pid in model.params:
-        assert np.array_equal(model.params[pid], twin.params[pid] - 0.05 * grads[pid].data), pid
+        assert np.array_equal(model.params[pid], twin.params[pid] - 0.05 * grads[pid]), pid
 
 
 def test_modulated_update_missing_or_bad_gradients_abort_cleanly():
@@ -209,10 +208,9 @@ def test_modulated_update_missing_or_bad_gradients_abort_cleanly():
     before = {pid: arr.copy() for pid, arr in model.params.items()}
     cfg = OptimConfig(eta=0.1)
     zeros = zero_grads(model)
-    without_fusion = GradientSet({pid: g for pid, g in zeros.items()
-                                  if model.group_of(pid) != "fusion"})
+    without_fusion = {pid: g for pid, g in zeros.items() if model.group_of(pid) != "fusion"}
     with pytest.raises(NumericError):
-        sgd_step(model, GradientSet({}), cfg, xi=1.0)
+        sgd_step(model, {}, cfg, xi=1.0)
     with pytest.raises(NumericError):
         sgd_step(model, without_fusion, cfg, xi=1.0)
     with pytest.raises(NumericError):
@@ -230,8 +228,7 @@ def test_train_step_disabled_matches_vanilla_bitwise():
 
     cfg_off = OptimConfig(eta=1e-2, epochs=1, batch_size=6, seed=0,
                           iemf=IEMFConfig(enabled=False))
-    scores_off, metrics_off = iemf_train_step(batch, model, cfg_off)
-    assert metrics_off.xi == 1.0
+    assert iemf_train_step(batch, model, cfg_off).xi == 1.0
 
     # a build without the modulation calls: plain forward/backward/sgd with xi=1
     from iemf.model import forward_full
@@ -248,9 +245,9 @@ def test_train_step_symmetric_degenerate_batch_gives_gamma():
     ds, model, cfg = small_setup()
     for pid in model.params:
         model.params[pid] = np.zeros_like(model.params[pid])
-    scores, _ = iemf_train_step(ds.train.subset(range(6)), model, cfg)
+    rec = iemf_train_step(ds.train.subset(range(6)), model, cfg)
     # all heads uniform -> score ratio 1 -> xi = gamma
-    assert scores.xi == cfg.iemf.gamma
+    assert rec.xi == cfg.iemf.gamma
 
 
 def test_train_step_locality_non_fusion_updates_bit_identical():
@@ -270,11 +267,11 @@ def test_train_step_locality_non_fusion_updates_bit_identical():
 
 def test_train_step_golden_fixture():
     ds, model, cfg = small_setup()
-    scores, metrics = iemf_train_step(ds.train.subset(range(6)), model, cfg)
-    assert metrics.loss == GOLDEN_STEP["loss"]
-    assert metrics.xi == GOLDEN_STEP["xi"]
-    assert scores.s_unimodal == GOLDEN_STEP["s_uni"]
-    assert scores.s_multimodal == GOLDEN_STEP["s_multi"]
+    rec = iemf_train_step(ds.train.subset(range(6)), model, cfg)
+    assert rec.loss == GOLDEN_STEP["loss"]
+    assert rec.xi == GOLDEN_STEP["xi"]
+    assert rec.s_unimodal == GOLDEN_STEP["s_uni"]
+    assert rec.s_multimodal == GOLDEN_STEP["s_multi"]
 
 
 def test_descent_direction_preserved():
@@ -289,13 +286,13 @@ def test_descent_direction_preserved():
     grads = backward(tape, out.loss)
     before = model.params["fusion.W"].copy()
     cfg_nowd = OptimConfig(eta=1e-2, weight_decay=0.0, epochs=1, batch_size=6, seed=0)
-    scores, _ = iemf_train_step(batch, model.clone(), cfg_nowd)
+    xi = iemf_train_step(batch, model.clone(), cfg_nowd).xi
     stepped = model.clone()
-    sgd_step(stepped, grads, cfg_nowd, scores.xi)
+    sgd_step(stepped, grads, cfg_nowd, xi)
     step = stepped.params["fusion.W"] - before
-    raw = grads["fusion.W"].data
+    raw = grads["fusion.W"]
     ratio = step[raw != 0.0] / raw[raw != 0.0]
-    assert np.allclose(ratio, -cfg_nowd.eta * scores.xi, rtol=1e-12)
+    assert np.allclose(ratio, -cfg_nowd.eta * xi, rtol=1e-12)
     assert float((step * raw).sum()) <= 0.0
 
 

@@ -18,7 +18,7 @@ def test_relu_gradient():
     tape = Tape()
     x = tape.leaf(np.array([-1.0, 2.0]), param_id="x")
     grads = backward(tape, T.sum_all(relu(x)))
-    assert np.array_equal(grads["x"].data, [0.0, 1.0])
+    assert np.array_equal(grads["x"], [0.0, 1.0])
 
 
 def test_relu_gradient_matches_finite_differences_away_from_kink():
@@ -34,7 +34,7 @@ def test_relu_gradient_matches_finite_differences_away_from_kink():
         xp[i] += h
         xm[i] -= h
         fd = ((np.maximum(0, xp) ** 2).sum() - (np.maximum(0, xm) ** 2).sum()) / (2 * h)
-        assert abs(grads["x"].data[i] - fd) < 1e-6
+        assert abs(grads["x"][i] - fd) < 1e-6
 
 
 def test_lif_params_validation():
@@ -148,7 +148,7 @@ def test_surrogate_derivative_hat():
     currents = np.array([[0.5, 1.5, -0.5, 0.75]])
     tape = Tape()
     x = tape.leaf(currents, param_id="x")
-    grad = backward(tape, T.sum_all(lif_layer(x, p)))["x"].data[0]
+    grad = backward(tape, T.sum_all(lif_layer(x, p)))["x"][0]
     assert grad[0] == 1.0
     assert grad[1] == 0.0
     assert grad[2] == 0.0
@@ -190,7 +190,7 @@ def test_subthreshold_map_is_linear_and_matches_finite_differences():
         wp[idx] += h
         wm[idx] -= h
         fd = (surrogate_potential(wp) - surrogate_potential(wm)) / (2 * h)
-        rel = abs(grads["w"].data[idx] - fd) / max(1e-6, abs(fd))
+        rel = abs(grads["w"][idx] - fd) / max(1e-6, abs(fd))
         assert rel < 1e-6
 
     # doubling the weights doubles the final membrane sum (no spikes anywhere)
@@ -245,8 +245,8 @@ def test_bptt_matches_hand_unrolled_oracle():
     ref_loss, ref_dw, ref_db = _hand_unrolled_bptt(w0, b0, x, c, p, p.t_steps)
     assert ref_loss > 0.0  # the oracle only bites if spikes actually fire
     assert abs(loss.item() - ref_loss) < 1e-12
-    assert np.max(np.abs(grads["w"].data - ref_dw)) < 1e-10
-    assert np.max(np.abs(grads["b"].data - ref_db)) < 1e-10
+    assert np.max(np.abs(grads["w"] - ref_dw)) < 1e-10
+    assert np.max(np.abs(grads["b"] - ref_db)) < 1e-10
 
 
 def test_bptt_per_step_currents_matches_hand_unrolled_oracle():
@@ -284,5 +284,5 @@ def test_bptt_per_step_currents_matches_hand_unrolled_oracle():
         ref_db += a_pre.sum(axis=0)
         a_u = p.tau * a_pre
     assert sum(s.sum() for s in fired) > 0.0 and np.abs(ref_dw).max() > 0.0
-    assert np.max(np.abs(grads["w"].data - ref_dw)) < 1e-10
-    assert np.max(np.abs(grads["b"].data - ref_db)) < 1e-10
+    assert np.max(np.abs(grads["w"] - ref_dw)) < 1e-10
+    assert np.max(np.abs(grads["b"] - ref_db)) < 1e-10

@@ -9,7 +9,6 @@ import iemf.tensor as T
 from iemf.errors import ContractError, NumericError, ShapeError
 from iemf.neurons import LIFParams, lif_layer, lif_scan, relu
 from iemf.tensor import (
-    GradientSet,
     Tape,
     Tensor,
     backward,
@@ -44,7 +43,7 @@ def test_matmul_shape_error():
 def _probs(rows) -> np.ndarray:
     """The probabilities `softmax_cross_entropy` returns for a batch of logit rows."""
     rows = np.asarray(rows, dtype=np.float64)
-    return softmax_cross_entropy(Tensor(rows), [0] * rows.shape[0])[1].data
+    return softmax_cross_entropy(Tensor(rows), [0] * rows.shape[0])[1]
 
 
 def test_softmax_symmetry():
@@ -93,7 +92,7 @@ def test_cross_entropy_uniform():
 def test_cross_entropy_derived_value():
     loss, probs = softmax_cross_entropy(Tensor([[0.0, np.log(2.0)]]), [1])
     assert abs(loss.item() - (-np.log(2.0 / 3.0))) < 1e-12
-    assert np.allclose(probs.data, [[1.0 / 3.0, 2.0 / 3.0]])
+    assert np.allclose(probs, [[1.0 / 3.0, 2.0 / 3.0]])
 
 
 def test_cross_entropy_label_out_of_range():
@@ -105,14 +104,14 @@ def test_backward_sum_gives_ones():
     tape = Tape()
     x = tape.leaf(np.arange(6, dtype=float).reshape(2, 3), param_id="x")
     grads = backward(tape, T.sum_all(x))
-    assert np.array_equal(grads["x"].data, np.ones((2, 3)))
+    assert np.array_equal(grads["x"], np.ones((2, 3)))
 
 
 def test_backward_scalar_scaling():
     tape = Tape()
     x = tape.leaf(np.ones((3, 2)), param_id="x")
     grads = backward(tape, T.sum_all(T.smul(x, 2.5)))
-    assert np.array_equal(grads["x"].data, np.full((3, 2), 2.5))
+    assert np.array_equal(grads["x"], np.full((3, 2), 2.5))
 
 
 def test_backward_requires_scalar_seed():
@@ -166,7 +165,7 @@ def test_gradients_match_finite_differences_on_random_nets():
                 fd = _finite_difference(lambda v: _two_layer_loss(v, w2, x, labels)[1].item(), w1)
             else:
                 fd = _finite_difference(lambda v: _two_layer_loss(w1, v, x, labels)[1].item(), w2)
-            err = np.abs(grads[name].data - fd) / np.maximum(1e-6, np.abs(fd))
+            err = np.abs(grads[name] - fd) / np.maximum(1e-6, np.abs(fd))
             assert np.max(err) < 1e-6, f"trial {trial} {name}: {np.max(err)}"
 
 
@@ -218,7 +217,7 @@ def test_kernel_gradients_finite_difference_sweep():
             return build({**vals0, _name: v})[1].item()
 
         fd = _finite_difference(loss_of, val.copy())
-        err = np.abs(grads[name].data - fd) / np.maximum(1e-6, np.abs(fd))
+        err = np.abs(grads[name] - fd) / np.maximum(1e-6, np.abs(fd))
         assert np.max(err) < 1e-6, f"{name}: {np.max(err)}"
 
 
@@ -232,7 +231,7 @@ def test_linear_is_bit_identical_to_the_composed_affine_map():
         x, w, b = (tape.leaf(v, param_id=k) for k, v in (("x", x0), ("w", w0), ("b", b0)))
         out = T.linear(x, w, b) if fused else T.add_bias(T.matmul(x, T.transpose(w)), b)
         grads = backward(tape, T.sum_all(T.mul(out, weights)))
-        runs.append((out.data, {k: grads[k].data for k in grads}, len(tape)))
+        runs.append((out.data, grads, len(tape)))
     (fused_out, fused_grads, fused_nodes), (out, grads, nodes) = runs
     assert np.array_equal(fused_out, out)
     for k in grads:
@@ -250,7 +249,7 @@ def test_step_mean_blocks_and_gradient():
     mean = T.step_mean(x, 3)
     assert mean.data.tolist() == [[4, 5], [6, 7]]
     grads = backward(tape, T.sum_all(T.smul(mean, 6.0)))
-    assert np.array_equal(grads["x"].data, np.full((6, 2), 2.0))
+    assert np.array_equal(grads["x"], np.full((6, 2), 2.0))
     nodes = len(tape)
     assert T.step_mean(x, 1) is x and len(tape) == nodes  # one step records nothing
     with pytest.raises(ShapeError):
@@ -272,8 +271,8 @@ def _per_step_composition(x0, w0, b0, weights, steps):
             mean = T.add(mean, out)
         mean = T.smul(mean, 1.0 / steps)
     grads = backward(tape, T.sum_all(T.mul(mean, Tensor(weights))))
-    gx = np.concatenate([grads[f"x{t}"].data for t in range(steps)])
-    return np.concatenate([o.data for o in outs]), mean.data, gx, grads["w"].data, grads["b"].data
+    gx = np.concatenate([grads[f"x{t}"] for t in range(steps)])
+    return np.concatenate([o.data for o in outs]), mean.data, gx, grads["w"], grads["b"]
 
 
 @settings(max_examples=60, deadline=None)
@@ -292,7 +291,7 @@ def test_stacked_linear_and_step_mean_equal_the_per_step_composition(
     out = T.linear(x, w, b, steps)
     mean = T.step_mean(out, steps)
     grads = backward(tape, T.sum_all(T.mul(mean, Tensor(weights))))
-    stacked = (out.data, mean.data, grads["x"].data, grads["w"].data, grads["b"].data)
+    stacked = (out.data, mean.data, grads["x"], grads["w"], grads["b"])
     for got, want in zip(stacked, _per_step_composition(x0, w0, b0, weights, steps)):
         assert got.shape == want.shape and np.array_equal(got, want)
     assert len(tape) == 3 + 1 + (steps > 1) + 3  # leaves, linear, step_mean, loss
@@ -377,12 +376,12 @@ def test_kept_softmax_criteria_equal_the_three_softmax_code(b, m, kind, temperat
     grads = backward(tape, T.smul(loss, g))
     want_loss, want_probs, want_grad = _old_softmax_xent(x0, y, g)
     assert np.array_equal(loss.data, want_loss)
-    assert probs.tape is None and np.array_equal(probs.data, want_probs)
-    assert np.array_equal(grads["x"].data, want_grad)
+    assert probs is tape.nodes[loss.node].saved and np.array_equal(probs, want_probs)
+    assert np.array_equal(grads["x"], want_grad)
     assert replay_forward(tape)
     untraced_loss, untraced_probs = softmax_cross_entropy(Tensor(x0), y)
     assert np.array_equal(untraced_loss.data, want_loss)
-    assert np.array_equal(untraced_probs.data, want_probs)
+    assert np.array_equal(untraced_probs, want_probs)
 
     tape = Tape()
     x = tape.leaf(x0, param_id="x")
@@ -390,7 +389,7 @@ def test_kept_softmax_criteria_equal_the_three_softmax_code(b, m, kind, temperat
     grads = backward(tape, T.smul(kl, g))
     want_kl, want_kl_grad = _old_distill_kl(x0, ref, temperature, g)
     assert np.array_equal(kl.data, want_kl)
-    assert np.array_equal(grads["x"].data, want_kl_grad)
+    assert np.array_equal(grads["x"], want_kl_grad)
     assert replay_forward(tape)
 
     fractions = rng.random(b) * 0.999
@@ -412,7 +411,7 @@ def test_detach_blocks_gradient():
     x = tape.leaf(np.ones((2, 2)), param_id="x")
     grads = backward(tape, T.sum_all(T.mul(x, T.detach(x))))
     # d/dx sum(x * const) = const = detached value
-    assert np.array_equal(grads["x"].data, np.ones((2, 2)))
+    assert np.array_equal(grads["x"], np.ones((2, 2)))
 
 
 def test_determinism_bit_identical():
@@ -426,7 +425,7 @@ def test_determinism_bit_identical():
     assert l1.item() == l2.item()
     g1, g2 = backward(t1, l1), backward(t2, l2)
     for k in g1:
-        assert np.array_equal(g1[k].data, g2[k].data)
+        assert np.array_equal(g1[k], g2[k])
 
 
 def test_replay_after_backward_leaves_values_unchanged():
@@ -456,9 +455,3 @@ def test_mixed_tapes_rejected():
     with pytest.raises(ContractError):
         T.add(a, b)
 
-
-def test_gradient_set_is_a_mapping():
-    gs = GradientSet({"w": Tensor(np.ones(2))})
-    assert "w" in gs and len(gs) == 1
-    assert list(gs.keys()) == ["w"]
-    assert np.array_equal(gs["w"].data, np.ones(2))

@@ -13,7 +13,7 @@ from iemf.errors import ConfigError, NumericError
 from iemf.model import ModelConfig, init_model
 from iemf.modulation import IEMFConfig
 from iemf.neurons import LIFParams
-from iemf.tensor import GradientSet, Tensor
+from iemf.tensor import Tensor
 from iemf.training import (
     EpochMetrics,
     OptimConfig,
@@ -69,9 +69,7 @@ def small_setup():
 
 
 def grads_like(model, value=0.0):
-    return GradientSet({
-        pid: Tensor(np.full_like(arr, value)) for pid, arr in model.params.items()
-    })
+    return {pid: np.full_like(arr, value) for pid, arr in model.params.items()}
 
 
 def test_sgd_plain_everywhere_with_unit_multipliers():
@@ -111,8 +109,7 @@ def test_mslr_multiplier_scales_update_exactly():
     base = model.clone()
     scaled = model.clone()
     rng = np.random.default_rng(8)
-    g = GradientSet({pid: Tensor(rng.standard_normal(arr.shape))
-                     for pid, arr in model.params.items()})
+    g = {pid: rng.standard_normal(arr.shape) for pid, arr in model.params.items()}
     sgd_step(base, g, OptimConfig(eta=0.1, weight_decay=0.0, method="mslr",
                                   mult_a=0.5, mult_v=1.0), xi=1.0)
     sgd_step(scaled, g, OptimConfig(eta=0.1, weight_decay=0.0, method="mslr",
@@ -264,6 +261,17 @@ def test_flops_spiking_scales_with_steps():
     # everything except the loss kernels scales linearly with the step count
     loss_const = 3 * _xent_flops(16, 3) + 4
     assert f8 == 2 * f4 - loss_const
+
+
+@pytest.mark.parametrize("name, at_32, at_300", [
+    ("default", 586_852, 5_501_704), ("spiking", 2_448_420, 22_953_904),
+])
+def test_forward_flops_at_the_shipped_shapes(name, at_32, at_300):
+    """Frozen counts at configs/<name>.json, for a batch and for 300 rows (the
+    test split); a change of the counting rules must change them on purpose."""
+    cfg = load_config(str(SPIKING_CONFIG.parent / f"{name}.json"))
+    model = init_model(cfg.model, cfg.seed)
+    assert (forward_flops(model, 32), forward_flops(model, 300)) == (at_32, at_300)
 
 
 def test_optim_config_validation():
