@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
@@ -66,6 +67,12 @@ class ContractionSettings:
     steps: int = 100
     rotation_seed: int | None = None
     tolerance: float = 1e-10
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ConfigError("analysis.contraction.tolerance must be a finite positive number")
+        if self.steps < 1:
+            raise ConfigError("analysis.contraction.steps must be at least 1")
 
     def schedule(self) -> list[float]:
         if isinstance(self.xi, (int, float)):
@@ -194,10 +201,16 @@ def from_dict(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
     return build(ExperimentConfig, top, "", data=data, model=model, optim=optim)
 
 
+def _reject_constant(name: str):
+    raise ConfigError(f"non-finite number {name} is not allowed in a configuration")
+
+
 def load_config(path: str, seed_override: int | None = None) -> ExperimentConfig:
+    """The experiment configuration in the JSON file at `path`; strict JSON
+    only, so the NaN, Infinity and -Infinity tokens are rejected."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return from_dict(raw, seed_override)

@@ -86,7 +86,7 @@ def _lif_forward(ins, aux):
     return spikes, shifted
 
 
-def _lif_backward(g, out, ins, aux, shifted):
+def _lif_backward(g, out, ins, aux, needs, shifted):
     """BPTT over the membrane with the reset held constant.
 
     The membrane adjoint of step t is a_u * (1 - spike_t) + g_t * hat, and
@@ -119,7 +119,7 @@ def _lif_backward(g, out, ins, aux, shifted):
 register_op(
     "relu",
     lambda ins, aux: np.maximum(0.0, ins[0]),
-    lambda g, out, ins, aux: [g * (ins[0] > 0.0)],
+    lambda g, out, ins, aux, needs: [g * (ins[0] > 0.0)],
 )
 register_op("lif_layer", _lif_forward, _lif_backward, saves=True)
 

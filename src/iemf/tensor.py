@@ -22,6 +22,13 @@ evaluation points of `analysis.model_objective`) and bound unchecked, so a
 non-finite value written into a model some other way fails at the first op
 that reads it.
 
+`backward` computes only what some parameter reads. Once per call it flags
+the nodes whose gradient can reach a parameter leaf (a `detach` output and
+a non-parameter leaf never can), visits only those, and hands each rule its
+inputs' flags, as PyTorch autograd hands a function `needs_input_grad`.
+`linear` uses them to skip the input gradient of a batch input, a detached
+latent or a cached constant; `add_bias` skips a constant bias's column sum.
+
 Shape rules are deliberately narrow: the only broadcast is the bias-row add,
 in `add_bias` and in the fused affine map `linear`.
 
@@ -33,6 +40,7 @@ their results equal the per-step composition bit for bit.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -107,8 +115,9 @@ class Node:
 
 # forward(input_values, aux) -> value, a C-contiguous float64 array, or
 # (value, saved) for an op registered with saves=True;
-# backward(out_grad, out_value, input_values, aux[, saved]) -> one gradient
-# (or None) per input.
+# backward(out_grad, out_value, input_values, aux, needs[, saved]) -> one
+# gradient (or None) per input, where `needs` holds one bool per input: False
+# where no parameter reads that input's gradient, so the rule may return None.
 ForwardRule = Callable[[list[Array], Any], Any]
 BackwardRule = Callable[..., list[Array | None]]
 
@@ -125,8 +134,21 @@ _OPS: dict[str, OpRule] = {}
 
 def register_op(name: str, forward: ForwardRule, backward: BackwardRule,
                 saves: bool = False) -> None:
+    """Register an op kind; `backward` must accept the argument list above.
+
+    Its `needs` flags let a rule skip gradients no parameter reads; a gradient
+    returned for an input whose flag is False is dropped, never accumulated.
+    """
     if name in _OPS:
         raise ContractError(f"operation {name!r} is already registered")
+    args = (None,) * (6 if saves else 5)
+    try:
+        inspect.signature(backward).bind(*args)
+    except TypeError as exc:
+        raise ContractError(
+            f"backward rule of {name!r} must take (out_grad, out_value, input_values, aux, "
+            f"needs{', saved' if saves else ''}): {exc}"
+        ) from None
     _OPS[name] = OpRule(forward, backward, saves)
 
 
@@ -382,13 +404,13 @@ def _fwd_distill_kl(ins, temperature):
 # backward rules
 
 
-def _bwd_matmul(g, out, ins, aux):
+def _bwd_matmul(g, out, ins, aux, needs):
     a, b = ins
     return [g @ b.T, a.T @ g]
 
 
-def _bwd_add_bias(g, out, ins, aux):
-    return [g, g.sum(axis=0)]
+def _bwd_add_bias(g, out, ins, aux, needs):
+    return [g, g.sum(axis=0) if needs[1] else None]
 
 
 def _linear_values(ins, steps):
@@ -404,16 +426,18 @@ def _linear_values(ins, steps):
     return out
 
 
-def _bwd_linear(g, out, ins, steps):
+def _bwd_linear(g, out, ins, steps, needs):
     x, w, _ = ins
-    wt = np.ascontiguousarray(w.T)
     rows = x.shape[0] // steps
-    gx = np.empty_like(x)
-    gw = gb = None
+    gx = gw = gb = None
+    if needs[0]:
+        wt = np.ascontiguousarray(w.T)
+        gx = np.empty_like(x)
     for t in range(steps - 1, -1, -1):
         blk = slice(t * rows, (t + 1) * rows)
         g_t = g[blk]
-        np.matmul(g_t, wt.T, out=gx[blk])
+        if gx is not None:
+            np.matmul(g_t, wt.T, out=gx[blk])
         gw_t, gb_t = x[blk].T @ g_t, g_t.sum(axis=0)
         gw, gb = (gw_t, gb_t) if gw is None else (gw + gw_t, gb + gb_t)
     return [gx, np.ascontiguousarray(gw.T), gb]
@@ -427,26 +451,26 @@ def _step_mean_values(x: Array, steps: int) -> Array:
     return acc * (1.0 / steps)
 
 
-def _bwd_step_mean(g, out, ins, steps):
+def _bwd_step_mean(g, out, ins, steps, needs):
     return [np.tile(g * (1.0 / steps), (steps, 1))]
 
 
-def _bwd_concat_cols(g, out, ins, aux):
+def _bwd_concat_cols(g, out, ins, aux, needs):
     split = aux
     return [np.ascontiguousarray(g[:, :split]), np.ascontiguousarray(g[:, split:])]
 
 
-def _bwd_select_cols(g, out, ins, aux):
+def _bwd_select_cols(g, out, ins, aux, needs):
     grad = np.zeros_like(ins[0])
     np.add.at(grad, (slice(None), list(aux)), g)
     return [grad]
 
 
-def _bwd_sum_all(g, out, ins, aux):
+def _bwd_sum_all(g, out, ins, aux, needs):
     return [np.full(ins[0].shape, float(g))]
 
 
-def _bwd_softmax_xent(g, out, ins, labels, probs):
+def _bwd_softmax_xent(g, out, ins, labels, needs, probs):
     b = probs.shape[0]
     grad = probs.copy()
     grad[np.arange(b), labels] -= 1.0
@@ -454,7 +478,7 @@ def _bwd_softmax_xent(g, out, ins, labels, probs):
     return [grad]
 
 
-def _bwd_distill_kl(g, out, ins, temperature, saved):
+def _bwd_distill_kl(g, out, ins, temperature, needs, saved):
     p_new, p_old = saved
     scale = float(g) / (ins[0].shape[0] * temperature)
     return [(p_new - p_old) * scale, None]
@@ -464,15 +488,15 @@ register_op("matmul", lambda ins, aux: ins[0] @ ins[1], _bwd_matmul)
 register_op(
     "transpose",
     lambda ins, aux: np.ascontiguousarray(ins[0].T),
-    lambda g, out, ins, aux: [np.ascontiguousarray(g.T)],
+    lambda g, out, ins, aux, needs: [np.ascontiguousarray(g.T)],
 )
-register_op("add", lambda ins, aux: ins[0] + ins[1], lambda g, out, ins, aux: [g, g])
+register_op("add", lambda ins, aux: ins[0] + ins[1], lambda g, out, ins, aux, needs: [g, g])
 register_op(
     "mul",
     lambda ins, aux: ins[0] * ins[1],
-    lambda g, out, ins, aux: [g * ins[1], g * ins[0]],
+    lambda g, out, ins, aux, needs: [g * ins[1], g * ins[0]],
 )
-register_op("smul", lambda ins, aux: ins[0] * aux, lambda g, out, ins, aux: [g * aux])
+register_op("smul", lambda ins, aux: ins[0] * aux, lambda g, out, ins, aux, needs: [g * aux])
 register_op("add_bias", lambda ins, aux: ins[0] + ins[1], _bwd_add_bias)
 register_op("linear", _linear_values, _bwd_linear)
 register_op("step_mean", lambda ins, aux: _step_mean_values(ins[0], aux), _bwd_step_mean)
@@ -484,7 +508,7 @@ register_op(
     lambda ins, aux: np.ascontiguousarray(ins[0][:, list(aux)]),
     _bwd_select_cols,
 )
-register_op("detach", lambda ins, aux: ins[0], lambda g, out, ins, aux: [None])
+register_op("detach", lambda ins, aux: ins[0], lambda g, out, ins, aux, needs: [None])
 register_op("sum_all", lambda ins, aux: np.asarray(ins[0].sum()), _bwd_sum_all)
 register_op("softmax_xent", _fwd_softmax_xent, _bwd_softmax_xent, saves=True)
 register_op("distill_kl", _fwd_distill_kl, _bwd_distill_kl, saves=True)
@@ -497,33 +521,46 @@ register_op("distill_kl", _fwd_distill_kl, _bwd_distill_kl, saves=True)
 def backward(tape: Tape, seed: Tensor) -> dict[str, Array]:
     """Accumulate d(seed)/d(param) for every parameter leaf on the tape.
 
-    The seed must be a scalar node of this tape. Non-parameter leaves are
-    skipped; parameter leaves the seed does not depend on get zero gradients.
-    Returns one array per parameter id, shaped like its parameter: views
-    into one vector, in leaf order, checked once.
+    The seed must be a scalar node of this tape. First, in tape order, each
+    node up to the seed gets a needs-gradient flag: a parameter leaf needs
+    one, a non-parameter leaf and a `detach` output need none, and any other
+    node needs one if any of its inputs does. The reverse pass then visits
+    only flagged nodes, hands each rule its inputs' flags, and accumulates
+    only flagged inputs' gradients; parameter leaves the seed does not depend
+    on get zero gradients. Returns one array per parameter id, shaped like
+    its parameter: views into one vector, in leaf order, checked once.
     """
     if seed.tape is not tape or seed.node is None:
         raise ContractError("seed is not recorded on this tape")
     if seed.data.shape != ():
         raise ContractError(f"seed must be scalar, got shape {seed.data.shape}")
+    needs: list[bool] = []
+    for node in tape.nodes[:seed.node + 1]:
+        if node.op == "leaf":
+            needs.append(node.param_id is not None)
+        else:
+            needs.append(node.op != "detach" and any([needs[i] for i in node.inputs]))
     adjoints: list[Array | None] = [None] * (seed.node + 1)
-    adjoints[seed.node] = np.ones((), dtype=np.float64)
+    if needs[seed.node]:
+        adjoints[seed.node] = np.ones((), dtype=np.float64)
     for nid in range(seed.node, -1, -1):
         out_grad = adjoints[nid]
-        if out_grad is None:
+        if out_grad is None:  # needs no gradient, or the seed does not depend on it
             continue
         node = tape.nodes[nid]
         if node.op == "leaf":
             continue
         in_values = [tape.nodes[i].value for i in node.inputs]
+        in_needs = [needs[i] for i in node.inputs]
         rule = _OPS[node.op]
         if rule.saves:
-            in_grads = rule.backward(out_grad, node.value, in_values, node.aux, node.saved)
+            in_grads = rule.backward(out_grad, node.value, in_values, node.aux, in_needs,
+                                     node.saved)
         else:
-            in_grads = rule.backward(out_grad, node.value, in_values, node.aux)
+            in_grads = rule.backward(out_grad, node.value, in_values, node.aux, in_needs)
         adjoints[nid] = None  # read by its rule; parameter leaves keep theirs
-        for iid, g in zip(node.inputs, in_grads):
-            if g is None:
+        for iid, need, g in zip(node.inputs, in_needs, in_grads):
+            if g is None or not need:
                 continue
             adjoints[iid] = g if adjoints[iid] is None else adjoints[iid] + g
     params = [(nid, node) for nid, node in enumerate(tape.nodes)

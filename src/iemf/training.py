@@ -190,23 +190,28 @@ def _xent_flops(batch: int, n_classes: int) -> int:
 
 
 def forward_flops(model: MultimodalModel, batch: int) -> int:
-    """Nominal forward cost of one batch; every layer counts once per time step."""
+    """Nominal forward cost of one batch, counted over the rows each layer runs.
+
+    Every layer counts once per time step, except each spiking encoder's first
+    affine layer: its drive is the same at every step, so `model._encode`
+    computes it once per batch.
+    """
     cfg = model.cfg
     spiking = cfg.neuron_mode == "spiking"
-    per_step = 0
+    rows = cfg.steps * batch  # rows past each encoder's first LIF layer
+    total = 0
     for modality in ("a", "v"):
         widths = cfg.encoder_widths(modality)
         for i in range(cfg.depth):
-            per_step += _affine_flops(batch, widths[i], widths[i + 1])
+            total += _affine_flops(batch if i == 0 else rows, widths[i], widths[i + 1])
             if spiking:
-                per_step += 5 * batch * widths[i + 1]  # leaky accumulate, fire, reset
+                total += 5 * rows * widths[i + 1]  # leaky accumulate, fire, reset
             elif i < cfg.depth - 1:
-                per_step += batch * widths[i + 1]  # relu
-    per_step += _affine_flops(batch, 2 * cfg.latent, cfg.n_classes)
-    per_step += 2 * _affine_flops(batch, cfg.latent, cfg.n_classes)
-    total = cfg.steps * per_step
+                total += batch * widths[i + 1]  # relu
+    total += _affine_flops(rows, 2 * cfg.latent, cfg.n_classes)
+    total += 2 * _affine_flops(rows, cfg.latent, cfg.n_classes)
     if spiking:
-        total += 3 * cfg.steps * batch * cfg.n_classes  # rate-decoding averages
+        total += 3 * rows * cfg.n_classes  # rate-decoding averages
     total += 3 * _xent_flops(batch, cfg.n_classes)
     total += 4  # scalar loss combination
     return total

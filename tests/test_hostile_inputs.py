@@ -116,6 +116,34 @@ def test_mistyped_config_rejected(runs, tmp_path, case):
                       "--out", str(tmp_path / "out")])
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_config_number_rejected(tmp_path, token):
+    """Python's json accepts NaN and ±Infinity; a configuration must not."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(CONFIG).replace('"sigma_a": 1.5', f'"sigma_a": {token}'))
+    err = _assert_rejected(["generate", "--config", str(path),
+                            "--out", str(tmp_path / "data.iemf")])
+    assert token in err
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("tolerance", -1.0, "tolerance"), ("tolerance", 0.0, "tolerance"),
+    ("tolerance", float("nan"), "NaN"), ("steps", 0, "steps"),
+])
+def test_bad_contraction_settings_rejected(tmp_path, key, value, named):
+    path = _dump(tmp_path / "config.json",
+                 _swapped(CONFIG, ("analysis", "contraction", key), value))
+    err = _assert_rejected(["analyze", "contraction", "--config", path,
+                            "--out", str(tmp_path / "out")])
+    assert named in err
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+def test_non_finite_contraction_tolerance_rejected_in_code(tolerance):
+    with pytest.raises(ConfigError, match="analysis.contraction.tolerance"):
+        from_dict(_swapped(CONFIG, ("analysis", "contraction", "tolerance"), tolerance))
+
+
 def _drop_count(header):
     del header["sections"][0]["count"]
 

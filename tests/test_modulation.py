@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from iemf.analysis import model_objective
 from iemf.config import load_config
 from iemf.continual import _incremental_step
 from iemf.data import DataSpec, generate
@@ -299,9 +300,8 @@ def test_descent_direction_preserved():
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def _counted_step(monkeypatch, numpy_name, name, lwf=False):
-    """Calls of `np.<numpy_name>` in one step at a shipped config's shapes;
-    the step must move the parameters."""
+def _shipped_setup(name):
+    """Config, seeded model and one random batch at a shipped config's shapes."""
     cfg = load_config(str(CONFIGS / f"{name}.json"))
     model = init_model(cfg.model, cfg.seed)
     rng = np.random.default_rng(0)
@@ -309,7 +309,11 @@ def _counted_step(monkeypatch, numpy_name, name, lwf=False):
     batch = Batch(Tensor(rng.standard_normal((b, cfg.model.d_in_a))),
                   Tensor(rng.standard_normal((b, cfg.model.d_in_v))),
                   rng.integers(2, 4, size=b))
-    old = model.clone()
+    return cfg, model, batch
+
+
+def _count_calls(monkeypatch, numpy_name, fn) -> int:
+    """Calls of `np.<numpy_name>` while `fn()` runs."""
     counted = []
     real = getattr(np, numpy_name)
 
@@ -318,13 +322,26 @@ def _counted_step(monkeypatch, numpy_name, name, lwf=False):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np, numpy_name, counting)
-    if lwf:
-        _incremental_step(batch, model, cfg.optim, "lwf", [2, 3], [0, 1], old, 2.0, 1.0)
-    else:
-        iemf_train_step(batch, model, cfg.optim)
+    fn()
     monkeypatch.undo()
-    assert any(not np.array_equal(model.params[k], old.params[k]) for k in model.params)
     return len(counted)
+
+
+def _counted_step(monkeypatch, numpy_name, name, lwf=False):
+    """Calls of `np.<numpy_name>` in one step at a shipped config's shapes;
+    the step must move the parameters."""
+    cfg, model, batch = _shipped_setup(name)
+    old = model.clone()
+
+    def step():
+        if lwf:
+            _incremental_step(batch, model, cfg.optim, "lwf", [2, 3], [0, 1], old, 2.0, 1.0)
+        else:
+            iemf_train_step(batch, model, cfg.optim)
+
+    counted = _count_calls(monkeypatch, numpy_name, step)
+    assert any(not np.array_equal(model.params[k], old.params[k]) for k in model.params)
+    return counted
 
 
 @pytest.mark.parametrize("name, lwf, calls", [
@@ -345,3 +362,28 @@ def test_isfinite_calls_per_step_at_shipped_config_shapes(monkeypatch, name, cal
     checks the parameter gradients as one vector. Before that, a step made
     63 (default) and 72 (spiking) np.isfinite calls."""
     assert _counted_step(monkeypatch, "isfinite", name) == calls
+
+
+@pytest.mark.parametrize("name, lwf, calls", [
+    ("default", False, 10), ("spiking", False, 34), ("default", True, 17),
+])
+def test_matmul_calls_per_step_at_shipped_config_shapes(monkeypatch, name, lwf, calls):
+    """`linear` runs one np.matmul per row block forward, and one backward for
+    the input gradient only where some parameter reads it: never for the batch
+    inputs or the detached probe-head inputs. Before the needs-gradient mask, a
+    step made 14 (default), 44 (spiking) and 21 (LwF) np.matmul calls."""
+    assert _counted_step(monkeypatch, "matmul", name, lwf) == calls
+
+
+@pytest.mark.parametrize("name, calls", [("default", 1), ("spiking", 4)],
+                         ids=["default", "spiking"])
+def test_matmul_calls_per_fusion_gradient_at_shipped_config_shapes(monkeypatch, name, calls):
+    """A fusion-block gradient runs the fusion layer's forward products only:
+    the cached concatenated latents are a constant, so no input gradient is
+    formed for them (before the mask: 2 and 8 calls)."""
+    _, model, batch = _shipped_setup(name)
+    _, grad_fn, w0, spans = model_objective(model, batch)
+    w = np.concatenate([w0[start:stop] for pid, start, stop, _ in spans
+                        if pid.startswith("fusion.")])
+    grad_fn(w, block="fusion")  # encodes once and caches the latents
+    assert _count_calls(monkeypatch, "matmul", lambda: grad_fn(w, block="fusion")) == calls

@@ -1,5 +1,7 @@
 """Tensor engine: kernels, tape recording, and reverse-mode gradients."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -412,6 +414,69 @@ def test_detach_blocks_gradient():
     grads = backward(tape, T.sum_all(T.mul(x, T.detach(x))))
     # d/dx sum(x * const) = const = detached value
     assert np.array_equal(grads["x"], np.ones((2, 2)))
+
+
+def _counting_backward_rules(monkeypatch, ops):
+    """Wrap the backward rule of each op kind in `ops` with a call counter."""
+    calls = dict.fromkeys(ops, 0)
+    for op in ops:
+        rule = T._OPS[op]
+
+        def counted(*args, op=op, inner=rule.backward):
+            calls[op] += 1
+            return inner(*args)
+
+        monkeypatch.setitem(T._OPS, op, dataclasses.replace(rule, backward=counted))
+    return calls
+
+
+def test_backward_never_visits_a_branch_without_parameters(monkeypatch):
+    """A branch reached only through `detach` or a constant leaf needs no
+    gradient, so its rules are never called; the parameter's gradient holds."""
+    calls = _counting_backward_rules(monkeypatch, ["relu", "smul"])
+    tape = Tape()
+    x = tape.leaf(np.array([[-1.0, 2.0], [3.0, -4.0]]))
+    w = tape.leaf(np.array([[0.5, -1.5], [2.5, 1.0]]), param_id="w")
+    h = T.smul(w, 2.0)
+    through_constant = relu(x)
+    through_detach = relu(T.detach(h))
+    grads = backward(tape, T.sum_all(T.add(T.mul(h, through_constant), through_detach)))
+    assert calls == {"relu": 0, "smul": 1}
+    assert np.array_equal(grads["w"], 2.0 * np.maximum(0.0, x.data))
+
+
+def test_backward_of_a_seed_without_parameters_calls_no_rule(monkeypatch):
+    calls = _counting_backward_rules(monkeypatch, list(T._OPS))
+    tape = Tape()
+    tape.leaf(np.ones((2, 3)), param_id="w")
+    seed = T.sum_all(T.smul(tape.leaf(np.arange(6.0).reshape(2, 3)), 2.0))
+    grads = backward(tape, seed)
+    assert not any(calls.values())
+    assert np.array_equal(grads["w"], np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("steps", [1, 4])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_linear_rule_skips_only_the_unneeded_input_gradient(steps, rows):
+    rng = np.random.default_rng(steps * 10 + rows)
+    x = rng.standard_normal((steps * rows, 5))
+    w, b = rng.standard_normal((4, 5)), rng.standard_normal(4)
+    g = rng.standard_normal((steps * rows, 4))
+    out = T._linear_values([x, w, b], steps)
+    rule = T._OPS["linear"].backward
+    gx, gw, gb = rule(g, out, [x, w, b], steps, [True, True, True])
+    skipped = rule(g, out, [x, w, b], steps, [False, True, True])
+    assert gx is not None and skipped[0] is None
+    assert np.array_equal(skipped[1], gw) and np.array_equal(skipped[2], gb)
+
+
+def test_register_op_rejects_a_backward_rule_without_needs():
+    with pytest.raises(ContractError, match="'old_style'"):
+        T.register_op("old_style", lambda ins, aux: ins[0], lambda g, out, ins, aux: [g])
+    assert "old_style" not in T._OPS
+    with pytest.raises(ContractError, match="'old_saving'"):
+        T.register_op("old_saving", lambda ins, aux: (ins[0], None),
+                      lambda g, out, ins, aux, needs: [g], saves=True)
 
 
 def test_determinism_bit_identical():

@@ -7,13 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from iemf import training
 from iemf.config import load_config
 from iemf.data import DataSpec, generate
 from iemf.errors import ConfigError, NumericError
-from iemf.model import ModelConfig, init_model
+from iemf.model import Batch, ModelConfig, forward_full, init_model
 from iemf.modulation import IEMFConfig
 from iemf.neurons import LIFParams
-from iemf.tensor import Tensor
+from iemf.tensor import Tape, Tensor
 from iemf.training import (
     EpochMetrics,
     OptimConfig,
@@ -249,7 +250,7 @@ def test_flops_double_batches_double_cost():
 
 
 def test_flops_spiking_scales_with_steps():
-    from iemf.training import _xent_flops
+    from iemf.training import _affine_flops, _xent_flops
 
     cont = init_model(ModelConfig(d_in_a=4, d_in_v=4, n_classes=3, hidden=5, latent=4), 0)
     spik4 = init_model(ModelConfig(d_in_a=4, d_in_v=4, n_classes=3, hidden=5, latent=4,
@@ -258,20 +259,48 @@ def test_flops_spiking_scales_with_steps():
                                    neuron_mode="spiking", lif=LIFParams(t_steps=8)), 0)
     f_cont, f4, f8 = (forward_flops(m, 16) for m in (cont, spik4, spik8))
     assert f4 > f_cont
-    # everything except the loss kernels scales linearly with the step count
-    loss_const = 3 * _xent_flops(16, 3) + 4
-    assert f8 == 2 * f4 - loss_const
+    # everything except the loss kernels and the two encoders' first affine
+    # layers, whose drive is computed once for all steps, scales linearly with
+    # the step count
+    const = 3 * _xent_flops(16, 3) + 4 + 2 * _affine_flops(16, 4, 5)
+    assert f8 == 2 * f4 - const
 
 
 @pytest.mark.parametrize("name, at_32, at_300", [
-    ("default", 586_852, 5_501_704), ("spiking", 2_448_420, 22_953_904),
+    ("default", 586_852, 5_501_704), ("spiking", 1_649_700, 15_465_904),
 ])
 def test_forward_flops_at_the_shipped_shapes(name, at_32, at_300):
     """Frozen counts at configs/<name>.json, for a batch and for 300 rows (the
-    test split); a change of the counting rules must change them on purpose."""
+    test split); a change of the counting rules must change them on purpose.
+    The spiking counts moved from 2,448,420 and 22,953,904 when each encoder's
+    shared first drive began to count once rather than once per step."""
     cfg = load_config(str(SPIKING_CONFIG.parent / f"{name}.json"))
     model = init_model(cfg.model, cfg.seed)
     assert (forward_flops(model, 32), forward_flops(model, 300)) == (at_32, at_300)
+
+
+@pytest.mark.parametrize("name", ["default", "spiking"])
+@pytest.mark.parametrize("rows", [32, 300])
+def test_forward_flops_affine_part_matches_the_recorded_linear_nodes(monkeypatch, name, rows):
+    """The affine part of `forward_flops` (what is left when `_affine_flops`
+    counts nothing) is 2*rows*K*N + rows*N summed over the `linear` nodes one
+    recorded forward pass runs, at each node's own row count."""
+    cfg = load_config(str(SPIKING_CONFIG.parent / f"{name}.json"))
+    model = init_model(cfg.model, cfg.seed)
+    rng = np.random.default_rng(0)
+    batch = Batch(Tensor(rng.standard_normal((rows, cfg.model.d_in_a))),
+                  Tensor(rng.standard_normal((rows, cfg.model.d_in_v))),
+                  rng.integers(0, cfg.model.n_classes, size=rows))
+    tape = Tape()
+    forward_full(batch, model, tape)
+    recorded = 0
+    for node in tape.nodes:
+        if node.op == "linear":
+            (n_rows, k), n = tape.nodes[node.inputs[0]].value.shape, node.value.shape[1]
+            recorded += 2 * n_rows * k * n + n_rows * n
+    total = forward_flops(model, rows)
+    monkeypatch.setattr(training, "_affine_flops", lambda batch, fan_in, fan_out: 0)
+    assert total - forward_flops(model, rows) == recorded
 
 
 def test_optim_config_validation():
