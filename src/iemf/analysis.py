@@ -6,9 +6,12 @@ checks the per-eigendirection recursion alpha_i(t+1) = (1 - eta*xi_t*lambda_i)
 `sharpness` estimates the maximal loss increase within a parameter ball via
 random probes refined by projected gradient ascent; restricted to the fusion
 block, it encodes the batch once per call and evaluates only the fusion layer
-and its criterion after that. `landscape_slice` exports a 2-D loss surface
-along block-normalized random directions, and `computational_cost`
-implements the epochs-to-threshold x FLOPs-per-epoch efficiency metric.
+and its criterion after that. The objective keeps one memo slot, the block,
+the bytes and the loss of its latest gradient point (no tape), so the loss
+the ascent asks at that point costs no second forward pass. `landscape_slice`
+exports a 2-D loss surface along block-normalized random directions, and
+`computational_cost` implements the epochs-to-threshold x FLOPs-per-epoch
+efficiency metric.
 """
 
 from __future__ import annotations
@@ -88,6 +91,12 @@ def model_objective(model: MultimodalModel, data):
     evaluation runs only the fusion layer and the fused criterion, on a tape
     that holds only the fusion parameters. Its values equal the full-vector
     path's bit for bit.
+
+    One memo slot holds the block, the point's bytes and the loss of the
+    latest `grad_fn` call that returned; no tape is kept. `loss_fn` at the
+    same block and the same bytes returns that loss, which is the value its
+    own forward pass would give. Any other point, even one equal under `==`
+    such as -0.0 for 0.0, runs forward as before.
     """
     batch = _as_batch(data)
     work = model.clone()
@@ -121,18 +130,28 @@ def model_objective(model: MultimodalModel, data):
         loss_av, _ = softmax_cross_entropy(fused_logits(fixed["cat"], work, leaves), batch.y)
         return T.add(loss_av, fixed["head"])
 
+    last = None  # (block, point bytes, loss) of the latest gradient evaluation
+
     def loss_fn(w: np.ndarray, *, block: str = "all") -> float:
+        w = np.asarray(w, dtype=np.float64)
+        if last is not None and last[:2] == (block, w.tobytes()):
+            return last[2]
         if block == "all":
             return forward_full(batch, at(w), tape=None).loss.item()
         return fusion_loss(w, None, block).item()
 
     def grad_fn(w: np.ndarray, *, block: str = "all") -> np.ndarray:
+        nonlocal last
+        w = np.asarray(w, dtype=np.float64)
         tape = Tape()
         if block == "all":
-            grads = backward(tape, forward_full(batch, at(w), tape).loss)
-            return np.concatenate([grads[pid].reshape(-1) for pid, _, _, _ in spans])
-        grads = backward(tape, fusion_loss(w, tape, block))
-        return np.concatenate([grads[pid].reshape(-1) for pid, _, _, _ in fusion])
+            loss, block_spans = forward_full(batch, at(w), tape).loss, spans
+        else:
+            loss, block_spans = fusion_loss(w, tape, block), fusion
+        grads = backward(tape, loss)
+        grad = np.concatenate([grads[pid].reshape(-1) for pid, _, _, _ in block_spans])
+        last = (block, w.tobytes(), loss.item())
+        return grad
 
     return loss_fn, grad_fn, w0, spans
 
@@ -254,6 +273,13 @@ def sharpness_of(loss_fn, grad_fn, w0: np.ndarray, ball_radius: float, n_probes:
     sits on the boundary); the best increase over all evaluations wins. Probes
     draw from one sequential stream, so enlarging n_probes only appends
     probes and can never lower the estimate.
+
+    At each point the gradient is asked before the loss, on the same array, so
+    an objective that remembers its gradient's forward pass (`model_objective`)
+    answers the loss from it; a probe's last point gets a loss only. A call
+    makes 1 + n_probes·(1 + S) loss and n_probes·S gradient evaluations, S =
+    ascent_steps, and so runs 1 + n_probes·(1 + S) forward passes on such an
+    objective, where asking the loss first ran 1 + n_probes·(1 + 2S).
     """
     if not ball_radius > 0.0:
         raise ContractError("ball radius must be positive")
@@ -266,15 +292,18 @@ def sharpness_of(loss_fn, grad_fn, w0: np.ndarray, ball_radius: float, n_probes:
     for _ in range(n_probes):
         eps = rng.standard_normal(dim)
         eps *= ball_radius / np.linalg.norm(eps)
-        best = float(loss_fn(w0 + eps)) - base
-        for _ in range(ascent_steps):
-            g = grad_fn(w0 + eps)
+        point = w0 + eps
+        g = grad_fn(point) if ascent_steps > 0 else None
+        best = float(loss_fn(point)) - base
+        for step in range(1, ascent_steps + 1):
             gn = float(np.linalg.norm(g))
             if gn < 1e-18:
                 break
             eps = eps + (ball_radius / gn) * g
             eps *= ball_radius / np.linalg.norm(eps)
-            best = max(best, float(loss_fn(w0 + eps)) - base)
+            point = w0 + eps
+            g = grad_fn(point) if step < ascent_steps else None
+            best = max(best, float(loss_fn(point)) - base)
         per_probe.append(best)
     return SharpnessReport(
         base_loss=base,

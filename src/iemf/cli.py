@@ -209,10 +209,10 @@ def _read_metrics_curve(path: str) -> tuple[list[float], float]:
     except ValueError as exc:
         raise ConfigError(f"{path}: metrics file is missing column {exc}") from exc
 
-    def finite(text: str) -> float:
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite value {text!r}")
+    def number(cells: list[str], col: int, rule: str, valid) -> float:
+        value = float(cells[col])
+        if not valid(value):
+            raise ValueError(f"{header[col]} must be {rule}, got {cells[col]!r}")
         return value
 
     errors = []
@@ -220,12 +220,13 @@ def _read_metrics_curve(path: str) -> tuple[list[float], float]:
     for n, ln in lines[1:]:
         cells = ln.split(",")
         try:
-            errors.append(1.0 - finite(cells[acc_col]))
+            errors.append(1.0 - number(cells, acc_col, "in [0, 1]", lambda v: 0.0 <= v <= 1.0))
             if omega is None:
-                omega = finite(cells[flops_col]) / finite(cells[epoch_col])
-                if not math.isfinite(omega):
-                    raise ValueError("FLOPs per epoch overflow")
-        except (ValueError, IndexError, ZeroDivisionError) as exc:
+                flops = number(cells, flops_col, "finite and > 0", lambda v: 0.0 < v < math.inf)
+                epoch = number(cells, epoch_col, "an integer >= 1",
+                               lambda v: v >= 1.0 and v.is_integer())
+                omega = flops / epoch
+        except (ValueError, IndexError) as exc:
             raise FormatError(f"{path}:{n}: malformed metrics row ({exc})") from exc
     return errors, float(omega)
 

@@ -220,6 +220,83 @@ def test_model_objective_rejects_a_non_finite_point(block):
             fn(w, block=block)
 
 
+
+def _exp_calls(monkeypatch, fn):
+    """(np.exp calls while fn() runs, its result): one per cross-entropy forward pass."""
+    calls = []
+    real = np.exp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting)
+    try:
+        value = fn()
+    finally:
+        monkeypatch.undo()
+    return len(calls), value
+
+
+@pytest.mark.parametrize("neuron_mode", ["continuous", "spiking"])
+@pytest.mark.parametrize("block", ["fusion", "all"])
+def test_model_objective_reuses_a_gradient_loss_only_at_the_same_point(monkeypatch, block,
+                                                                       neuron_mode):
+    """`loss_fn` at the bytes of the point the last `grad_fn` call evaluated,
+    in the same block, returns that forward pass's loss; any other point runs
+    forward again, with the calls and the value of a fresh objective."""
+    ds = generate(DataSpec(n_classes=3, d_a=4, d_v=4, train_per_class=6, test_per_class=3, seed=0))
+    model = init_model(ModelConfig(d_in_a=4, d_in_v=4, n_classes=3, hidden=5, latent=4,
+                                   neuron_mode=neuron_mode, lif=LIFParams(t_steps=3)), 0)
+    loss_fn, grad_fn, w0, spans = model_objective(model, ds)
+    idx = np.concatenate([np.arange(start, stop) for pid, start, stop, _ in spans
+                          if pid.startswith("fusion.")])
+
+    def block_point(b):
+        w = w0 + 0.1 * np.random.default_rng(1).standard_normal(w0.size)
+        w = w[idx] if b == "fusion" else w
+        w[0] = 0.0
+        return w
+
+    def fresh(w, b):
+        """np.exp calls and loss of a fresh objective, its fusion latents encoded."""
+        fresh_loss = model_objective(model, ds)[0]
+        fresh_loss(block_point("fusion") + 1.0, block="fusion")
+        return _exp_calls(monkeypatch, lambda: fresh_loss(w, block=b))
+
+    def loss_after_gradient(p, q, b=block):
+        grad_fn(p, block=block)
+        return _exp_calls(monkeypatch, lambda: loss_fn(q, block=b))
+
+    loss_fn(block_point("fusion") + 1.0, block="fusion")  # encodes, as in fresh()
+    p = block_point(block)
+    calls, value = loss_after_gradient(p, p.copy())
+    assert calls == 0 and value == fresh(p, block)[1]
+
+    one_ulp = p.copy()
+    one_ulp[-1] = np.nextafter(one_ulp[-1], np.inf)
+    negative_zero = p.copy()
+    negative_zero[0] = -0.0
+    assert negative_zero[0] == p[0] and np.signbit(negative_zero[0]) != np.signbit(p[0])
+    for q in (one_ulp, negative_zero):
+        assert loss_after_gradient(p, q) == fresh(q, block)
+
+    grad_fn(p, block=block)
+    p[1] += 0.5
+    assert _exp_calls(monkeypatch, lambda: loss_fn(p, block=block)) == fresh(p, block)
+
+    other = "all" if block == "fusion" else "fusion"
+    q = block_point(other)
+    assert loss_after_gradient(block_point(block), q, other) == fresh(q, other)
+
+    bad = p.copy()
+    bad[-1] = np.inf
+    with pytest.raises(NumericError, match="evaluation point"):
+        grad_fn(bad, block=block)
+    with pytest.raises(NumericError, match="evaluation point"):
+        loss_fn(bad, block=block)
+
+
 def test_full_batch_spiking_gradient_peak_memory():
     """`backward` drops each adjoint once its node's rule has read it.
 

@@ -64,13 +64,23 @@ def test_tracer_sees_one_backward_and_the_whole_tape_per_spiking_step():
 
 
 def test_tracer_times_every_fusion_sharpness_evaluation():
-    """The restricted sharpness path still goes through the names the tracer wraps."""
+    """Both sharpness paths still go through the names the tracer wraps. A loss
+    asked at the point of the gradient just taken reuses its forward pass, so
+    of the full-vector forward passes only the base point's and each probe's
+    last point's run untraced (9 untraced and 6 traced at 2 x 3 when every
+    evaluation ran one)."""
     ds = generate(DataSpec(n_classes=3, d_a=4, d_v=4, train_per_class=6, test_per_class=2, seed=0))
     model = init_model(ModelConfig(d_in_a=4, d_in_v=4, n_classes=3, hidden=5, latent=4), 0)
     probes, steps = 2, 3
-    tracer = load_spans().Tracer()
-    with tracer.installed():
-        iemf.analysis.sharpness(model, ds, ball_radius=0.3, n_probes=probes, ascent_steps=steps)
-    assert len(tracer.select("analysis.loss_eval")) == 1 + probes * (1 + steps)
-    assert len(tracer.select("analysis.grad_eval")) == probes * steps
-    assert len(tracer.select("tensor.backward", in_step=True)) == probes * steps
+    for blocks in ("fusion", "all"):
+        tracer = load_spans().Tracer()
+        with tracer.installed():
+            iemf.analysis.sharpness(model, ds, ball_radius=0.3, n_probes=probes,
+                                    ascent_steps=steps, blocks=blocks)
+        assert len(tracer.select("analysis.loss_eval")) == 1 + probes * (1 + steps)
+        assert len(tracer.select("analysis.grad_eval")) == probes * steps
+        assert len(tracer.select("tensor.backward", in_step=True)) == probes * steps
+        forward = {tag: len(tracer.select("model.forward_full", tag))
+                   for tag in ("untraced", "traced")}
+        expected = {"untraced": 1 + probes, "traced": probes * steps}
+        assert forward == (expected if blocks == "all" else {"untraced": 0, "traced": 0})

@@ -209,6 +209,8 @@ def _cost_argv(tmp_path, metrics, labels=None):
 @pytest.mark.parametrize("column,value", [
     ("test_acc", "abc"), ("epoch", "0"), ("test_acc", "nan"), ("test_acc", "inf"),
     ("flops_cumulative", "-inf"), ("epoch", "nan"), ("epoch", "inf"), ("epoch", "1e-310"),
+    ("flops_cumulative", "-100"), ("flops_cumulative", "0"), ("test_acc", "1.5"),
+    ("test_acc", "-0.1"), ("epoch", "-1"), ("epoch", "1.5"),
 ])
 def test_broken_metrics_csv_rejected(runs, tmp_path, column, value):
     with open(runs["metrics"], encoding="utf-8") as fh:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from iemf.analysis import model_objective
+from iemf.analysis import landscape_slice, model_objective, sharpness
 from iemf.config import load_config
 from iemf.continual import _incremental_step
 from iemf.data import DataSpec, generate
@@ -21,6 +21,7 @@ from iemf.modulation import (
     iemf_train_step,
     per_sample_content,
 )
+from iemf.neurons import LIFParams
 from iemf.tensor import Tensor
 from iemf.training import OptimConfig, sgd_step
 
@@ -387,3 +388,23 @@ def test_matmul_calls_per_fusion_gradient_at_shipped_config_shapes(monkeypatch, 
                         if pid.startswith("fusion.")])
     grad_fn(w, block="fusion")  # encodes once and caches the latents
     assert _count_calls(monkeypatch, "matmul", lambda: grad_fn(w, block="fusion")) == calls
+
+
+@pytest.mark.parametrize("neuron_mode", ["continuous", "spiking"])
+@pytest.mark.parametrize("blocks, calls", [("fusion", 11), ("all", 27)])
+def test_forward_passes_per_sharpness_call(monkeypatch, neuron_mode, blocks, calls):
+    """np.exp runs once per cross-entropy forward pass. A 2 x 3 sharpness call
+    makes 9 loss and 6 gradient evaluations; each loss asked at the point of
+    the gradient just taken reuses that gradient's forward pass, so 9 points
+    run forward once each. That is 9 fused criteria plus the 2 head criteria
+    the fusion block encodes once, or 9 x 3 criteria for all blocks (17 and 45
+    when each point ran forward twice). The landscape takes no gradient, so its
+    25 cells run 3 criteria each."""
+    ds = generate(DataSpec(n_classes=3, d_a=4, d_v=4, train_per_class=6, test_per_class=3,
+                           seed=0))
+    model = init_model(ModelConfig(d_in_a=4, d_in_v=4, n_classes=3, hidden=5, latent=4,
+                                   neuron_mode=neuron_mode, lif=LIFParams(t_steps=3)), 0)
+    assert _count_calls(monkeypatch, "exp", lambda: sharpness(
+        model, ds, ball_radius=0.3, n_probes=2, ascent_steps=3, seed=0, blocks=blocks)) == calls
+    assert _count_calls(monkeypatch, "exp", lambda: landscape_slice(
+        model, ds, grid_n=5, extent=0.5)) == 75
