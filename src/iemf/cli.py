@@ -22,7 +22,7 @@ from .config import ExperimentConfig, load_config
 from .errors import VALIDATION_ERRORS, ConfigError, FormatError, NumericError
 from .model import init_model
 from .training import EpochMetrics, XiRecord
-from .util import atomic_write_text, csv_line, dump_json, fmt
+from .util import atomic_write_text, csv_line, dump_json
 
 METRICS_HEADER = tuple(f.name for f in fields(EpochMetrics))
 XI_TRACE_HEADER = tuple(f.name for f in fields(XiRecord))
@@ -92,7 +92,7 @@ def cmd_continual(args) -> int:
         lwf_temperature=cfg.continual.lwf_temperature,
         lwf_lambda=cfg.continual.lwf_lambda,
     )
-    lines = [",".join(fmt(a) for a in row) + "\n" for row in matrix]
+    lines = [csv_line(row) for row in matrix]
     atomic_write_text(os.path.join(out_dir, "accuracy_matrix.csv"), "".join(lines))
     trace_lines = [csv_line(XI_TRACE_HEADER)]
     trace_lines += [csv_line(astuple(r)) for r in trace]

@@ -7,7 +7,9 @@ trains the current task's classes against labels while matching the pre-task
 model's softened fused logits on previously seen classes. Each step is the
 standard modulated step (`modulation.iemf_train_step`) with these criteria in
 place of plain cross entropy, so xi scales the fusion layer's learning rate
-exactly as in standard training.
+exactly as in standard training. Each epoch runs `training.train_epoch`, and
+each task's test split is scored by `training.evaluate_accuracy` on the fused
+logits of `model.network_logits`, as in standard training.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
+from . import training
 from .data import Dataset
 from .errors import ConfigError, ContractError
 from .model import Batch, MultimodalModel, network_logits
 from .modulation import StepRecord, iemf_train_step
 from .tensor import Tensor
-from .training import OptimConfig, XiRecord, iterate_batches, top1_accuracy
+from .training import OptimConfig, XiRecord, train_epoch
 from .util import STREAM_TASKS, STREAM_TRAIN, seeded_rng
 
 # Unused here, but bench/spans.py rebinds these attributes of this module by
@@ -136,8 +139,7 @@ def _incremental_step(batch: Batch, model: MultimodalModel, cfg: OptimConfig, me
 
 
 def train_incremental(stream: TaskStream, method: str, model: MultimodalModel,
-                      cfg: OptimConfig, lwf_temperature: float = 2.0, lwf_lambda: float = 1.0,
-                      on_task=None):
+                      cfg: OptimConfig, lwf_temperature: float = 2.0, lwf_lambda: float = 1.0):
     """Sequential training over the stream; returns (accuracy matrix, xi trace).
 
     Row k of the matrix holds a_{k,j} for j <= k: accuracy on task j's test
@@ -149,30 +151,19 @@ def train_incremental(stream: TaskStream, method: str, model: MultimodalModel,
     rng = seeded_rng(cfg.seed, STREAM_TRAIN)
     matrix: list[list[float]] = []
     trace: list[XiRecord] = []
-    step = 0
     for k, task in enumerate(stream.tasks, start=1):
         prev_classes = stream.seen_classes(k - 1)
-        seen_classes = stream.seen_classes(k)
-        ce_classes = task.classes if method == "lwf" else seen_classes
+        ce_classes = task.classes if method == "lwf" else stream.seen_classes(k)
         old_model = model.clone() if (method == "lwf" and prev_classes) else None
-        n = task.train.size
+
+        def step(batch: Batch) -> StepRecord:
+            return _incremental_step(batch, model, cfg, method, ce_classes, prev_classes,
+                                     old_model, lwf_temperature, lwf_lambda)
+
         for epoch in range(1, cfg.epochs + 1):
-            perm = rng.permutation(n)
-            for idx in iterate_batches(n, cfg.batch_size, perm):
-                batch = task.train.subset(idx)
-                step += 1
-                rec = _incremental_step(
-                    batch, model, cfg, method, ce_classes, prev_classes,
-                    old_model, lwf_temperature, lwf_lambda,
-                )
-                trace.append(XiRecord(step, epoch, rec.s_unimodal, rec.s_multimodal, rec.xi))
-        row = []
-        for j in range(k):
-            logits_av, _, _ = network_logits(stream.tasks[j].test, model, None)
-            row.append(top1_accuracy(logits_av, stream.tasks[j].test.y))
-        matrix.append(row)
-        if on_task is not None:
-            on_task(k, row)
+            train_epoch(task.train, cfg, rng, epoch, trace, step)
+        # read from the module at call time: bench/spans.py rebinds it to time evaluations
+        matrix.append([training.evaluate_accuracy(model, t.test) for t in stream.tasks[:k]])
     return matrix, trace
 
 

@@ -6,11 +6,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
-from .model import Batch, MultimodalModel, forward_full
+from .errors import ConfigError, NumericError, ShapeError
+from .model import Batch, MultimodalModel, network_logits
 from .modulation import IEMFConfig, iemf_train_step
 from .tensor import Tensor
 from .util import STREAM_TRAIN, seeded_rng
+
+# Unused here, but bench/spans.py rebinds this attribute of this module by name,
+# so it must stay importable from it.
+from .model import forward_full  # noqa: F401
 
 METHODS = ("vanilla", "mslr")
 
@@ -65,6 +69,8 @@ def top1_accuracy(logits, labels) -> float:
     """Fraction of rows whose argmax matches the label; ties go to the lowest class."""
     arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if y.shape[0] != arr.shape[0]:
+        raise ShapeError(f"expected {arr.shape[0]} labels, got {y.shape[0]}")
     if arr.shape[0] == 0:
         return 0.0
     return float(np.mean(arr.argmax(axis=-1) == y))
@@ -116,14 +122,28 @@ def sgd_step(model: MultimodalModel, grads: dict[str, np.ndarray], cfg: OptimCon
 
 
 def evaluate_accuracy(model: MultimodalModel, batch: Batch) -> float:
-    out = forward_full(batch, model, tape=None)
-    return top1_accuracy(out.logits_av, batch.y)
+    """Top-1 accuracy of the fused logits; the probe heads' logits are not read."""
+    return top1_accuracy(network_logits(batch, model)[0], batch.y)
 
 
-def iterate_batches(n: int, batch_size: int, perm: np.ndarray):
-    """Start/stop index arrays over a permutation; the last short batch is kept."""
-    for start in range(0, n, batch_size):
-        yield perm[start : start + batch_size]
+def train_epoch(batch: Batch, cfg: OptimConfig, rng: np.random.Generator, epoch: int,
+                trace: list[XiRecord], step) -> tuple[float, float]:
+    """One seeded shuffled pass of `step(mini_batch) -> StepRecord` over `batch`.
+
+    Mini-batches hold cfg.batch_size samples; the last short one is kept. Each
+    step appends an XiRecord numbered on from the length of `trace`. Returns
+    the sample-weighted sums of the steps' loss and accuracy.
+    """
+    perm = rng.permutation(batch.size)
+    loss_sum = 0.0
+    correct_sum = 0.0
+    for start in range(0, batch.size, cfg.batch_size):
+        mini = batch.subset(perm[start : start + cfg.batch_size])
+        rec = step(mini)
+        trace.append(XiRecord(len(trace) + 1, epoch, rec.s_unimodal, rec.s_multimodal, rec.xi))
+        loss_sum += rec.loss * mini.size
+        correct_sum += rec.accuracy * mini.size
+    return loss_sum, correct_sum
 
 
 def train(dataset, model: MultimodalModel, cfg: OptimConfig, on_epoch=None):
@@ -132,42 +152,27 @@ def train(dataset, model: MultimodalModel, cfg: OptimConfig, on_epoch=None):
     `on_epoch(metrics, trace_rows)` fires after every epoch so callers can
     flush partial logs.
     """
-    train_batch: Batch = dataset.train
-    test_batch: Batch = dataset.test
-    n = train_batch.size
+    n = dataset.train.size
     rng = seeded_rng(cfg.seed, STREAM_TRAIN)
     omega = flops_per_epoch(model, n, cfg)
     history: list[EpochMetrics] = []
     trace: list[XiRecord] = []
-    step = 0
     for epoch in range(1, cfg.epochs + 1):
-        perm = rng.permutation(n)
-        loss_sum = 0.0
-        correct_sum = 0.0
-        xi_sum = 0.0
-        n_steps = 0
-        epoch_trace: list[XiRecord] = []
-        for idx in iterate_batches(n, cfg.batch_size, perm):
-            batch = train_batch.subset(idx)
-            step += 1
-            rec = iemf_train_step(batch, model, cfg)
-            epoch_trace.append(XiRecord(step, epoch, rec.s_unimodal, rec.s_multimodal, rec.xi))
-            loss_sum += rec.loss * batch.size
-            correct_sum += rec.accuracy * batch.size
-            xi_sum += rec.xi
-            n_steps += 1
+        first = len(trace)
+        loss_sum, correct_sum = train_epoch(dataset.train, cfg, rng, epoch, trace,
+                                            lambda b: iemf_train_step(b, model, cfg))
+        rows = trace[first:]
         metrics = EpochMetrics(
             epoch=epoch,
             train_loss=loss_sum / n,
             train_acc=correct_sum / n,
-            test_acc=evaluate_accuracy(model, test_batch),
-            mean_xi=xi_sum / n_steps,
+            test_acc=evaluate_accuracy(model, dataset.test),
+            mean_xi=sum(r.xi for r in rows) / len(rows),
             flops_cumulative=epoch * omega,
         )
         history.append(metrics)
-        trace.extend(epoch_trace)
         if on_epoch is not None:
-            on_epoch(metrics, epoch_trace)
+            on_epoch(metrics, rows)
     return model, history, trace
 
 

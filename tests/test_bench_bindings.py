@@ -39,7 +39,10 @@ def test_tracer_bindings_record_both_step_paths():
     tracer = load_spans().Tracer()
     with tracer.installed():
         train(ds, init_model(model_cfg, 0), cfg)
+        assert len(tracer.select("training.evaluate_accuracy")) == cfg.epochs
         train_incremental(stream, "lwf", init_model(model_cfg, 0), cfg)
+    # one evaluation per epoch, then one per task seen after each of the 2 tasks
+    assert len(tracer.select("training.evaluate_accuracy")) == cfg.epochs + 1 + 2
     assert iemf.training.iemf_train_step is iemf.modulation.iemf_train_step
     assert tracer.select("modulation.iemf_train_step")
     assert tracer.select("continual.incremental_step")

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from iemf.errors import ConfigError, ContractError
 from iemf.model import ModelConfig, init_model
 from iemf.modulation import IEMFConfig
 from iemf.tensor import Tensor
-from iemf.training import OptimConfig
+from iemf.training import OptimConfig, train
 
 # frozen 3-task seed-0 regression fixture (generated once)
 GOLDEN_MATRIX = [[0.5833333333333334],
@@ -119,13 +120,24 @@ def test_lwf_loss_two_class_hand_computation():
     assert abs(loss.item() - (ce + lam * temp**2 * kl)) < 1e-12
 
 
-def test_incremental_single_task_equals_plain_accuracy():
+@pytest.mark.parametrize("neuron_mode", ["continuous", "spiking"])
+def test_incremental_single_task_equals_plain_accuracy(neuron_mode):
+    """One fine-tuning task over every class is plain training, bit for bit:
+    the same xi trace, the same final parameters, and the last test accuracy."""
     ds, _ = small_stream()
     stream = build_task_stream(ds, 1, 6, 0)
     cfg = OptimConfig(eta=1e-2, epochs=3, batch_size=8, seed=0)
-    matrix, _ = train_incremental(stream, "finetune", small_model(), cfg)
-    assert len(matrix) == 1 and len(matrix[0]) == 1
-    assert 0.0 <= matrix[0][0] <= 1.0
+    model_cfg = ModelConfig(d_in_a=6, d_in_v=6, n_classes=6, hidden=8, latent=6,
+                            neuron_mode=neuron_mode)
+    incremental = init_model(model_cfg, 0)
+    matrix, inc_trace = train_incremental(stream, "finetune", incremental, cfg)
+    plain, history, trace = train(ds, init_model(model_cfg, 0), cfg)
+    assert len(trace) == 27  # 3 epochs x 9 batches over 72 samples
+    assert [astuple(r) for r in inc_trace] == [astuple(r) for r in trace]
+    assert sorted(incremental.params) == sorted(plain.params)
+    for pid, w in plain.params.items():
+        assert incremental.params[pid].tobytes() == w.tobytes(), pid
+    assert matrix == [[history[-1].test_acc]]
 
 
 def test_incremental_frozen_model_repeats_rows():

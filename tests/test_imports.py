@@ -17,6 +17,7 @@ BENCH_ONLY = {
     ("continual", "iemf_coefficient"),
     ("continual", "per_sample_content"),
     ("continual", "sgd_step"),
+    ("training", "forward_full"),
 }
 
 

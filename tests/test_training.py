@@ -10,7 +10,7 @@ import pytest
 from iemf import training
 from iemf.config import load_config
 from iemf.data import DataSpec, generate
-from iemf.errors import ConfigError, NumericError
+from iemf.errors import ConfigError, NumericError, ShapeError
 from iemf.model import Batch, ModelConfig, forward_full, init_model
 from iemf.modulation import IEMFConfig
 from iemf.neurons import LIFParams
@@ -235,6 +235,11 @@ def test_top1_accuracy_cases():
     # argmax ties break toward the lowest class index
     assert top1_accuracy(Tensor([[0.5, 0.5]]), [0]) == 1.0
     assert top1_accuracy(Tensor([[0.5, 0.5]]), [1]) == 0.0
+    # a label list of the wrong length is refused, not broadcast
+    with pytest.raises(ShapeError, match="expected 4 labels, got 1"):
+        top1_accuracy(logits, [0])
+    with pytest.raises(ShapeError, match="expected 2 labels, got 3"):
+        top1_accuracy(Tensor([[2.0, 1.0], [0.0, 3.0]]), [0, 1, 0])
 
 
 def test_matmul_flops_hand_count():
