@@ -137,6 +137,15 @@ def _object(raw, where: str) -> dict:
     return dict(raw)
 
 
+def _finite_float(raw) -> bool:
+    """Whether float64 holds `raw` as a finite number: json reads 1e999 as
+    inf, and float() overflows on an integer of a few hundred digits."""
+    try:
+        return math.isfinite(float(raw))
+    except OverflowError:
+        return False
+
+
 def _value(tp, raw, where: str):
     if is_dataclass(tp):
         return build(tp, raw, where)
@@ -152,7 +161,9 @@ def _value(tp, raw, where: str):
             return [_value(get_args(tp)[0], item, f"{where}[{i}]") for i, item in enumerate(raw)]
     elif isinstance(raw, (int, float) if tp is float else tp) and (
             tp is bool or not isinstance(raw, bool)):
-        return raw
+        if tp is not float or _finite_float(raw):
+            return raw
+        raise _mistyped(where, "a finite float", raw)
     raise _mistyped(where, tp.__name__ if isinstance(tp, type) else tp, raw)
 
 
@@ -162,7 +173,8 @@ def build(cls, raw, where: str, **given):
     `raw` may hold any field except those the caller derived itself (`given`);
     omitted fields keep their defaults. Values must match the field types,
     recursing into dataclasses, `list[T]` and unions: integers reject 2.5 and
-    true, booleans reject strings. Violations raise ConfigError naming the key.
+    true, booleans reject strings, floats reject numbers float64 cannot hold
+    finitely. Violations raise ConfigError naming the key.
     """
     name = where or "top-level"
     raw = _object(raw, name)

@@ -70,6 +70,8 @@ def per_sample_content(probs: np.ndarray, labels) -> np.ndarray:
     """Probability each sample's head assigned to its true label: c_i = probs[i, y_i]."""
     if probs.ndim != 2:
         raise ContractError(f"probabilities must be (B,M), got shape {probs.shape}")
+    if probs.shape[0] == 0:
+        raise ContractError("per-sample content needs a non-empty batch")
     # np.allclose(row_sums, 1.0, atol=1e-9) written out: its default rtol is
     # 1e-5, and NaN or infinite sums fail the comparison
     if not (np.abs(probs.sum(axis=1) - 1.0) <= 1e-9 + 1e-5).all():

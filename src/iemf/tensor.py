@@ -10,6 +10,9 @@ values only. The criteria use it to compute each softmax once:
 `softmax_xent` keeps its probabilities, and `softmax_cross_entropy` hands
 that same array to its caller, so the loss, its gradient and the confidence
 scores all read one softmax; `distill_kl` keeps both of its softmaxes.
+Each softmax takes its row maxima over a class-major copy of the logits:
+along a short last axis numpy runs its reduce loop once per row, and a max
+is exact in any order, so the values are those of the row-wise form.
 A `Tensor` is only what an op records or reads: results that leave the tape,
 those probabilities and the gradients `backward` returns, are numpy arrays.
 
@@ -379,7 +382,9 @@ def _softmax_parts(x: Array) -> tuple[Array, Array, Array]:
 
     softmax = e / s and log-softmax = shifted - log(s).
     """
-    shifted = x - x.max(axis=-1, keepdims=True)
+    # numpy runs its reduce loop once per short row; over a class-major copy
+    # the maxima are one vectorised pass, and a max is exact in any order
+    shifted = x - np.ascontiguousarray(x.T).max(axis=0)[:, None]
     e = np.exp(shifted)
     return shifted, e, e.sum(axis=-1, keepdims=True)
 

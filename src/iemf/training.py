@@ -68,6 +68,8 @@ class XiRecord:
 def top1_accuracy(logits, labels) -> float:
     """Fraction of rows whose argmax matches the label; ties go to the lowest class."""
     arr = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
+    if arr.ndim != 2:
+        raise ShapeError(f"top-1 accuracy needs (B,M) logits, got shape {arr.shape}")
     y = np.asarray(labels, dtype=np.int64).reshape(-1)
     if y.shape[0] != arr.shape[0]:
         raise ShapeError(f"expected {arr.shape[0]} labels, got {y.shape[0]}")

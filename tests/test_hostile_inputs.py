@@ -126,6 +126,29 @@ def test_non_finite_config_number_rejected(tmp_path, token):
     assert token in err
 
 
+FLOAT_OVERFLOW_CASES = {  # id: (command, key path, JSON number text)
+    "weight_decay-1e999": ("train", "optim.weight_decay", "1e999"),
+    "weight_decay-9x400": ("train", "optim.weight_decay", "9" * 400),
+    "mult_a--1e999": ("train", "optim.mslr.mult_a", "-1e999"),
+    "lwf_temperature-1e999": ("continual", "continual.lwf_temperature", "1e999"),
+    "lwf_lambda-1e999": ("continual", "continual.lwf_lambda", "1e999"),
+    "sigma_a-1e999": ("generate", "data.sigma_a", "1e999"),
+    "sigma_a-9x400": ("generate", "data.sigma_a", "9" * 400),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_OVERFLOW_CASES))
+def test_config_float_beyond_float64_rejected(runs, tmp_path, case):
+    """json reads 1e999 as inf without calling parse_constant, and float()
+    overflows on a 400-digit integer; both are rejected by key before any work."""
+    command, key, text = FLOAT_OVERFLOW_CASES[case]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_swapped(CONFIG, key.split("."), "@")).replace('"@"', text))
+    err = _assert_rejected([command, "--config", str(path), "--data", runs["data"],
+                            "--out", str(tmp_path / "out")])
+    assert key in err
+
+
 @pytest.mark.parametrize("key, value, named", [
     ("tolerance", -1.0, "tolerance"), ("tolerance", 0.0, "tolerance"),
     ("tolerance", float("nan"), "NaN"), ("steps", 0, "steps"),

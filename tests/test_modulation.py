@@ -51,6 +51,8 @@ def test_per_sample_content_rejects_bad_rows():
         per_sample_content(np.array([[0.5, 0.5]]), [0, 1])
     with pytest.raises(IndexError):
         per_sample_content(np.array([[0.5, 0.5]]), [2])
+    with pytest.raises(ContractError, match="per-sample content needs a non-empty batch"):
+        per_sample_content(np.zeros((0, 3)), [])
 
 
 def test_per_sample_content_row_sum_edge_matches_allclose():

@@ -345,6 +345,69 @@ def _old_distill_kl(new, old, temperature, g):
     return value, (p_new - p_old) * (float(g) / (new.shape[0] * temperature))
 
 
+def _row_max_parts(z):
+    """The criteria's softmax parts with the maxima taken by numpy along each row."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return shifted, e, e.sum(axis=-1, keepdims=True)
+
+
+def _row_max_xent(x, labels):
+    """(loss, probabilities) of `softmax_xent` over `_row_max_parts`."""
+    shifted, e, s = _row_max_parts(x)
+    return np.asarray(-(shifted[np.arange(x.shape[0]), labels] - np.log(s)[:, 0]).mean()), e / s
+
+
+def _row_max_kl(new, old, temperature):
+    """The value of `distill_kl` over `_row_max_parts`."""
+    sh_new, _, s_new = _row_max_parts(new / temperature)
+    sh_old, _, s_old = _row_max_parts(old / temperature)
+    ls_new, ls_old = sh_new - np.log(s_new), sh_old - np.log(s_old)
+    return np.asarray((np.exp(ls_old) * (ls_old - ls_new)).sum(axis=1).mean())
+
+
+def _tied_logits(kind, b, m, rng):
+    """(B,M) logits whose even rows are of `kind`, and a label per row: the
+    top class of a "gap" row, where every other class sits 850 below so the
+    exponent sum is exactly 1."""
+    x = rng.standard_normal((b, m)) * 3.0
+    labels = rng.integers(0, m, size=b)
+    for i in range(0, b, 2):
+        if kind == "repeated":  # the row maximum twice (or all of a 1-class row)
+            cols = rng.choice(m, size=min(2, m), replace=False)
+            x[i, cols] = x[i].max() + 1.0
+        elif kind == "signed_zero":  # -0.0 and 0.0 tie at the maximum, either order
+            x[i] = -1.0 - rng.random(m)
+            x[i, 0], x[i, -1] = (-0.0, 0.0) if i % 4 == 0 else (0.0, -0.0)
+        elif kind == "gap":
+            x[i] = -850.0
+            x[i, labels[i]] = 0.0
+    return x, labels
+
+
+def _same_bits(got, want):
+    return np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("b", [1, 2, 32, 1200])
+@pytest.mark.parametrize("m", range(1, 13))
+def test_softmax_row_maxima_equal_the_row_wise_max(b, m):
+    """The criteria's row maxima, however reduced, give the loss, the
+    probabilities and the KL value of numpy's row-wise max bit for bit, signs
+    of zero included."""
+    rng = np.random.default_rng(1000 * m + b)
+    for kind in ("gauss", "repeated", "signed_zero", "gap"):
+        x, labels = _tied_logits(kind, b, m, rng)
+        ref, _ = _tied_logits(kind, b, m, rng)
+        loss, probs = softmax_cross_entropy(Tensor(x), labels)
+        want_loss, want_probs = _row_max_xent(x, labels)
+        assert _same_bits(loss.data, want_loss), kind
+        assert _same_bits(probs, want_probs), kind
+        for temperature in (0.5, 2.0):
+            kl = T.distill_kl(Tensor(x), Tensor(ref), temperature)
+            assert _same_bits(kl.data, _row_max_kl(x, ref, temperature)), (kind, temperature)
+
+
 def _raised(fn, *args):
     try:
         fn(*args)

@@ -240,6 +240,11 @@ def test_top1_accuracy_cases():
         top1_accuracy(logits, [0])
     with pytest.raises(ShapeError, match="expected 2 labels, got 3"):
         top1_accuracy(Tensor([[2.0, 1.0], [0.0, 3.0]]), [0, 1, 0])
+    # logits that are not (B,M) are refused, not reduced along their last axis
+    with pytest.raises(ShapeError, match=r"top-1 accuracy needs \(B,M\) logits, got shape \(2,\)"):
+        top1_accuracy(np.zeros(2), [0, 1])
+    with pytest.raises(ShapeError, match=r"got shape \(2, 2, 1\)"):
+        top1_accuracy(np.zeros((2, 2, 1)), [0, 1])
 
 
 def test_matmul_flops_hand_count():
