@@ -19,7 +19,7 @@ from .analysis import (
     verify_contraction,
 )
 from .continual import TaskStream, aa_aia, afr, build_task_stream, lwf_loss, train_incremental
-from .data import DataSpec, Dataset, corrupt, generate
+from .data import DataSpec, Dataset, generate
 from .errors import ConfigError, ContractError, FormatError, NumericError, ShapeError
 from .model import (
     Batch,
@@ -42,8 +42,6 @@ from .tensor import (
     Tape,
     Tensor,
     backward,
-    matmul,
-    replay_forward,
     softmax_cross_entropy,
 )
 from .training import (

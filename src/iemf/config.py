@@ -127,8 +127,8 @@ _WIDTHS = {"d_in_a": "d_a", "d_in_v": "d_v", "n_classes": "n_classes"}
 _type_hints = functools.cache(get_type_hints)
 
 
-def _mistyped(where: str, expected, raw) -> ConfigError:
-    return ConfigError(f"{where}: expected {expected}, got {json.dumps(raw, default=repr)[:40]}")
+def _mistyped(where: str, expected, raw, error=ConfigError) -> ConfigError:
+    return error(f"{where}: expected {expected}, got {json.dumps(raw, default=repr)[:40]}")
 
 
 def _object(raw, where: str) -> dict:
@@ -146,6 +146,22 @@ def _finite_float(raw) -> bool:
         return False
 
 
+class _OutOfRange(ConfigError):
+    """A value of the field's type that the field cannot take."""
+
+
+def _check_int(raw: int, where: str) -> int:
+    """Seeds (the fields named `*seed`) feed `SeedSequence`, which takes any
+    non-negative integer; every other integer reaches numpy as a size, count
+    or index, so it must fit int64."""
+    if where.rsplit(".", 1)[-1].endswith("seed"):
+        if raw < 0:
+            raise _mistyped(where, "a non-negative integer", raw, _OutOfRange)
+    elif not -2**63 <= raw < 2**63:
+        raise _mistyped(where, "an integer that fits int64", raw, _OutOfRange)
+    return raw
+
+
 def _value(tp, raw, where: str):
     if is_dataclass(tp):
         return build(tp, raw, where)
@@ -154,6 +170,8 @@ def _value(tp, raw, where: str):
         for alt in get_args(tp):
             try:
                 return _value(alt, raw, where)
+            except _OutOfRange:
+                raise
             except ConfigError:
                 pass
     elif origin is list:
@@ -161,9 +179,11 @@ def _value(tp, raw, where: str):
             return [_value(get_args(tp)[0], item, f"{where}[{i}]") for i, item in enumerate(raw)]
     elif isinstance(raw, (int, float) if tp is float else tp) and (
             tp is bool or not isinstance(raw, bool)):
+        if tp is int:
+            return _check_int(raw, where)
         if tp is not float or _finite_float(raw):
             return raw
-        raise _mistyped(where, "a finite float", raw)
+        raise _mistyped(where, "a finite float", raw, _OutOfRange)
     raise _mistyped(where, tp.__name__ if isinstance(tp, type) else tp, raw)
 
 
@@ -173,8 +193,9 @@ def build(cls, raw, where: str, **given):
     `raw` may hold any field except those the caller derived itself (`given`);
     omitted fields keep their defaults. Values must match the field types,
     recursing into dataclasses, `list[T]` and unions: integers reject 2.5 and
-    true, booleans reject strings, floats reject numbers float64 cannot hold
-    finitely. Violations raise ConfigError naming the key.
+    true, a seed rejects a negative integer and any other integer field one
+    int64 cannot hold, booleans reject strings, floats reject numbers float64
+    cannot hold finitely. Violations raise ConfigError naming the key.
     """
     name = where or "top-level"
     raw = _object(raw, name)

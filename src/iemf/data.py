@@ -9,16 +9,14 @@ weak-modality condition at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .model import Batch
 from .tensor import Tensor
-from .util import STREAM_CORRUPT, STREAM_DATA, seeded_rng
-
-MODALITIES = ("audio", "visual")
+from .util import STREAM_DATA, seeded_rng
 
 
 @dataclass
@@ -81,26 +79,3 @@ def generate(spec: DataSpec) -> Dataset:
     train = _sample_split(rng, spec, protos_a, protos_v, spec.train_per_class)
     test = _sample_split(rng, spec, protos_a, protos_v, spec.test_per_class)
     return Dataset(train=train, test=test, spec=spec)
-
-
-def corrupt(dataset: Dataset, modality: str, extra_sigma: float, seed: int) -> Dataset:
-    """Add seeded Gaussian noise to one modality of both splits.
-
-    The other modality is carried over bit-identically, and extra_sigma = 0
-    returns an unchanged copy.
-    """
-    if modality not in MODALITIES:
-        raise ContractError(f"modality must be one of {MODALITIES}")
-    if extra_sigma < 0.0:
-        raise ContractError("extra_sigma must be non-negative")
-    rng = seeded_rng(seed, STREAM_CORRUPT)
-
-    def perturb(batch: Batch) -> Batch:
-        x_a, x_v = batch.x_a.data.copy(), batch.x_v.data.copy()
-        if extra_sigma > 0.0:
-            target = x_a if modality == "audio" else x_v
-            target += extra_sigma * rng.standard_normal(target.shape)
-        return Batch(Tensor(x_a), Tensor(x_v), batch.y.copy())
-
-    return Dataset(train=perturb(dataset.train), test=perturb(dataset.test),
-                   spec=replace(dataset.spec))

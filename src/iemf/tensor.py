@@ -1,12 +1,11 @@
 """Dense float64 tensors and reverse-mode differentiation over a recorded tape.
 
 The tape is append-only, so recording order doubles as topological order.
-Every node caches its forward value; `replay_forward` recomputes the whole
-recording and certifies bit-identical results. Operations registered through
-`register_op` (see `neurons` for the spiking kernels) are replayable and
+Every node caches its forward value for the backward rules. Operations
+registered through `register_op` (see `neurons` for the spiking kernels) are
 differentiable like the built-ins. An op registered with `saves=True` keeps
-one extra forward result on its node for its backward rule; replay compares
-values only. The criteria use it to compute each softmax once:
+one extra forward result on its node for its backward rule. The criteria use
+it to compute each softmax once:
 `softmax_xent` keeps its probabilities, and `softmax_cross_entropy` hands
 that same array to its caller, so the loss, its gradient and the confidence
 scores all read one softmax; `distill_kl` keeps both of its softmaxes.
@@ -183,7 +182,8 @@ def _record(op: str, operands: Sequence[Tensor], value: Array, aux: Any = None,
     if tape is None:
         return Tensor._checked(value)
     ids = tuple(
-        t.node if t.tape is tape else tape.leaf(t).node  # lift constants for replay
+        # a constant becomes a leaf, so `backward` reads it as an input value
+        t.node if t.tape is tape else tape.leaf(t).node
         for t in operands
     )
     nid = len(tape.nodes)
@@ -214,35 +214,11 @@ def as_tensor(x) -> Tensor:
 # kernels
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """C[i,j] = sum_p A[i,p] B[p,j] for 2-D operands."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    return _apply("matmul", (a, b))
-
-
-def transpose(a: Tensor) -> Tensor:
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-D tensor, got {a.shape}")
-    return _apply("transpose", (a,))
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"add shapes differ: {a.shape} vs {b.shape}")
     return _apply("add", (a, b))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
-    return _apply("mul", (a, b))
 
 
 def smul(a: Tensor, c: float) -> Tensor:
@@ -269,9 +245,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor, steps: int = 1) -> Tensor:
     """Affine map x W^T + b: (B,K) rows through (N,K) weights plus an (N,) bias row.
 
     `x` stacks `steps` equal row blocks, one per time step. One node whose
-    forward and backward evaluate exactly what the per-block composition of
-    `add_bias(matmul(x_t, transpose(w)), b)` does, so the results are
-    bit-identical: every product runs block by block, and the backward sums
+    forward and backward evaluate exactly what the unfused per-block
+    composition, the product x_t W^T and then `add_bias`, does, so the results
+    are bit-identical: every product runs block by block, and the backward sums
     the weight and bias gradients from the last block down, in the order the
     tape would add them.
     """
@@ -314,10 +290,6 @@ def select_cols(a: Tensor, cols: Sequence[int]) -> Tensor:
 def detach(a: Tensor) -> Tensor:
     """Identity in the forward pass; blocks all gradient flow."""
     return _apply("detach", (as_tensor(a),))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    return _apply("sum_all", (as_tensor(a),))
 
 
 def _check_labels(labels, n_rows: int, n_classes: int) -> Array:
@@ -409,11 +381,6 @@ def _fwd_distill_kl(ins, temperature):
 # backward rules
 
 
-def _bwd_matmul(g, out, ins, aux, needs):
-    a, b = ins
-    return [g @ b.T, a.T @ g]
-
-
 def _bwd_add_bias(g, out, ins, aux, needs):
     return [g, g.sum(axis=0) if needs[1] else None]
 
@@ -471,10 +438,6 @@ def _bwd_select_cols(g, out, ins, aux, needs):
     return [grad]
 
 
-def _bwd_sum_all(g, out, ins, aux, needs):
-    return [np.full(ins[0].shape, float(g))]
-
-
 def _bwd_softmax_xent(g, out, ins, labels, needs, probs):
     b = probs.shape[0]
     grad = probs.copy()
@@ -489,18 +452,7 @@ def _bwd_distill_kl(g, out, ins, temperature, needs, saved):
     return [(p_new - p_old) * scale, None]
 
 
-register_op("matmul", lambda ins, aux: ins[0] @ ins[1], _bwd_matmul)
-register_op(
-    "transpose",
-    lambda ins, aux: np.ascontiguousarray(ins[0].T),
-    lambda g, out, ins, aux, needs: [np.ascontiguousarray(g.T)],
-)
 register_op("add", lambda ins, aux: ins[0] + ins[1], lambda g, out, ins, aux, needs: [g, g])
-register_op(
-    "mul",
-    lambda ins, aux: ins[0] * ins[1],
-    lambda g, out, ins, aux, needs: [g * ins[1], g * ins[0]],
-)
 register_op("smul", lambda ins, aux: ins[0] * aux, lambda g, out, ins, aux, needs: [g * aux])
 register_op("add_bias", lambda ins, aux: ins[0] + ins[1], _bwd_add_bias)
 register_op("linear", _linear_values, _bwd_linear)
@@ -514,7 +466,6 @@ register_op(
     _bwd_select_cols,
 )
 register_op("detach", lambda ins, aux: ins[0], lambda g, out, ins, aux, needs: [None])
-register_op("sum_all", lambda ins, aux: np.asarray(ins[0].sum()), _bwd_sum_all)
 register_op("softmax_xent", _fwd_softmax_xent, _bwd_softmax_xent, saves=True)
 register_op("distill_kl", _fwd_distill_kl, _bwd_distill_kl, saves=True)
 
@@ -583,23 +534,3 @@ def backward(tape: Tape, seed: Tensor) -> dict[str, Array]:
         grads[node.param_id] = view
     _require_finite(flat, "backward")
     return grads
-
-
-def replay_forward(tape: Tape) -> bool:
-    """Recompute every non-leaf node from its recorded inputs.
-
-    Returns True iff all recomputed values are bit-identical to the cached
-    ones. The tape itself is never modified.
-    """
-    ok = True
-    for node in tape.nodes:
-        if node.op == "leaf":
-            continue
-        ins = [tape.nodes[i].value for i in node.inputs]
-        rule = _OPS[node.op]
-        value = rule.forward(ins, node.aux)
-        if rule.saves:
-            value = value[0]
-        if value.shape != node.value.shape or not np.array_equal(value, node.value):
-            ok = False
-    return ok

@@ -9,11 +9,12 @@ import tempfile
 import numpy as np
 
 # Distinct stream tags keep the random sequences of different subsystems
-# independent even when they share one master seed.
+# independent even when they share one master seed. A tag is never
+# renumbered or reused (4 is retired): that would change every sequence
+# drawn from it.
 STREAM_DATA = 1
 STREAM_MODEL = 2
 STREAM_TRAIN = 3
-STREAM_CORRUPT = 4
 STREAM_TASKS = 5
 STREAM_SHARPNESS = 6
 STREAM_LANDSCAPE = 7

@@ -1,10 +1,10 @@
-"""Synthetic two-modality dataset generation and corruption."""
+"""Synthetic two-modality dataset generation."""
 
 import numpy as np
 import pytest
 
-from iemf.data import DataSpec, corrupt, generate
-from iemf.errors import ConfigError, ContractError
+from iemf.data import DataSpec, generate
+from iemf.errors import ConfigError
 from iemf.model import Batch, ModelConfig, init_model
 from iemf.training import OptimConfig, train
 
@@ -48,44 +48,6 @@ def test_class_balance_exact():
     ds = generate(spec)
     assert np.array_equal(np.bincount(ds.train.y), np.full(5, 7))
     assert np.array_equal(np.bincount(ds.test.y), np.full(5, 3))
-
-
-def test_corrupt_zero_sigma_is_identity():
-    ds = generate(DataSpec(train_per_class=4, test_per_class=2, seed=0))
-    out = corrupt(ds, "audio", 0.0, seed=9)
-    assert np.array_equal(out.train.x_a.data, ds.train.x_a.data)
-    assert np.array_equal(out.test.x_v.data, ds.test.x_v.data)
-    assert np.array_equal(out.train.y, ds.train.y)
-
-
-def test_corrupt_leaves_other_modality_untouched():
-    ds = generate(DataSpec(train_per_class=4, test_per_class=2, seed=0))
-    out = corrupt(ds, "audio", 2.0, seed=9)
-    assert np.array_equal(out.train.x_v.data, ds.train.x_v.data)
-    assert np.array_equal(out.test.x_v.data, ds.test.x_v.data)
-    assert not np.array_equal(out.train.x_a.data, ds.train.x_a.data)
-
-
-def test_corrupt_rejects_unknown_modality():
-    ds = generate(DataSpec(train_per_class=2, test_per_class=1, seed=0))
-    with pytest.raises(ContractError):
-        corrupt(ds, "tactile", 1.0, seed=0)
-
-
-def test_corrupt_twice_composes_in_variance():
-    """Two corruptions with s, s' stack like one with sqrt(s^2 + s'^2)."""
-    n = 100_000
-    d = 1
-    spec = DataSpec(n_classes=2, d_a=d, d_v=1, train_per_class=n // 2, test_per_class=1,
-                    sigma_a=0.0, sigma_v=0.0, seed=5)
-    ds = generate(spec)
-    s1, s2 = 0.8, 0.6
-    twice = corrupt(corrupt(ds, "audio", s1, seed=1), "audio", s2, seed=2)
-    base = generate(spec)
-    added = twice.train.x_a.data - base.train.x_a.data
-    var = added.var()
-    expected = s1**2 + s2**2
-    assert abs(var - expected) / expected < 0.05
 
 
 def test_separability_monotone_in_noise():

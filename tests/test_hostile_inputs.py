@@ -10,6 +10,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import struct
 import tempfile
 
@@ -86,13 +87,16 @@ def runs(tmp_path_factory):
             "metrics": str(root / "run" / "metrics.csv")}
 
 
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
 def _swapped(obj, path, value):
     """Deep copy of `obj` with the value at key path `path` replaced."""
     obj = copy.deepcopy(obj)
-    target = obj
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    _at(obj, path[:-1])[path[-1]] = value
     return obj
 
 
@@ -134,6 +138,7 @@ FLOAT_OVERFLOW_CASES = {  # id: (command, key path, JSON number text)
     "lwf_lambda-1e999": ("continual", "continual.lwf_lambda", "1e999"),
     "sigma_a-1e999": ("generate", "data.sigma_a", "1e999"),
     "sigma_a-9x400": ("generate", "data.sigma_a", "9" * 400),
+    "xi-1e999": ("train", "analysis.contraction.xi", "1e999"),
 }
 
 
@@ -146,7 +151,65 @@ def test_config_float_beyond_float64_rejected(runs, tmp_path, case):
     path.write_text(json.dumps(_swapped(CONFIG, key.split("."), "@")).replace('"@"', text))
     err = _assert_rejected([command, "--config", str(path), "--data", runs["data"],
                             "--out", str(tmp_path / "out")])
-    assert key in err
+    assert f"{key}: expected a finite float" in err
+
+
+NEGATIVE_SEED_CASES = {  # id: (command, key path set to -3, extra arguments)
+    "flag": (["generate"], None, ["--seed", "-1"]),
+    "seed": (["generate"], "seed", []),
+    "rotation_seed": (["analyze", "contraction"], "analysis.contraction.rotation_seed", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_SEED_CASES))
+def test_negative_seed_rejected(tmp_path, case):
+    """A seed feeds numpy's SeedSequence, which takes only non-negative integers."""
+    command, key, extra = NEGATIVE_SEED_CASES[case]
+    raw = CONFIG if key is None else _swapped(CONFIG, key.split("."), -3)
+    err = _assert_rejected([*command, "--config", _dump(tmp_path / "config.json", raw), *extra,
+                            "--out", str(tmp_path / "out")])
+    assert f"{key or 'seed'}: expected a non-negative integer" in err
+
+
+# every integer field but the seeds, in the layout of the resolved echo
+INT_FIELDS = [
+    "data.n_classes", "data.d_a", "data.d_v", "data.train_per_class", "data.test_per_class",
+    "model.hidden", "model.latent", "model.depth", "model.lif.t_steps",
+    "optim.epochs", "optim.batch_size", "continual.tasks", "continual.classes_per_task",
+    "analysis.sharpness.n_probes", "analysis.sharpness.ascent_steps",
+    "analysis.landscape.grid_n", "analysis.contraction.steps", "analysis.cost.thresholds",
+]
+
+
+def test_int_fields_are_every_non_seed_integer_leaf():
+    resolved = from_dict(CONFIG).resolved()
+    found = [".".join(leaf) for leaf in _leaves(resolved)
+             if type(_at(resolved, leaf)) is int and not leaf[-1].endswith("seed")]
+    assert sorted(found) == sorted(INT_FIELDS)
+
+
+@pytest.mark.parametrize("key", INT_FIELDS)
+@pytest.mark.parametrize("value", [10**30, 2**63], ids=["10**30", "2**63"])
+def test_config_int_beyond_int64_rejected(key, value):
+    """Checked at load only: a field numpy reads as int64 that held a value
+    int64 cannot hold would end in an OverflowError, and an accepted epoch
+    count this large would start a training that never ends."""
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: expected an integer that fits"):
+        from_dict(_swapped(from_dict(CONFIG).resolved(), key.split("."), value))
+
+
+def test_oversized_data_size_exits_2(tmp_path):
+    path = _dump(tmp_path / "config.json", _swapped(CONFIG, ("data", "train_per_class"), 10**30))
+    err = _assert_rejected(["generate", "--config", path, "--out", str(tmp_path / "data.iemf")])
+    assert "data.train_per_class" in err
+
+
+@pytest.mark.parametrize("key", ["seed", "data.seed", "optim.seed"])
+def test_seed_is_unbounded_above(key):
+    """SeedSequence takes any non-negative integer, so a seed has no upper bound."""
+    path = key.split(".")
+    cfg = from_dict(_swapped(from_dict(CONFIG).resolved(), path, 10**30))
+    assert _at(cfg.resolved(), path) == 10**30
 
 
 @pytest.mark.parametrize("key, value, named", [
@@ -314,10 +377,7 @@ def test_resolved_config_echo_round_trips(data):
     and echoes the same bytes again."""
     raw = CONFIG
     for leaf in data.draw(st.lists(st.sampled_from(_leaves(CONFIG)), max_size=4, unique=True)):
-        old = CONFIG
-        for key in leaf:
-            old = old[key]
-        raw = _swapped(raw, leaf, data.draw(_same_kind(old)))
+        raw = _swapped(raw, leaf, data.draw(_same_kind(_at(CONFIG, leaf))))
     try:
         cfg = from_dict(raw)
     except ConfigError:
