@@ -85,6 +85,8 @@ def read_container(path: str) -> tuple[dict[str, np.ndarray], dict]:
     claimed: list[tuple[int, int]] = []
     for entry in header.sections:
         name, shape, count, offset = entry.name, entry.shape, entry.count, entry.offset
+        if name in sections:
+            raise FormatError(f"{path}: section {name!r} is listed twice")
         if any(dim < 0 for dim in shape):
             raise FormatError(f"{path}: section {name!r} has a negative dimension")
         if count != math.prod(shape):

@@ -93,7 +93,8 @@ def masked_cross_entropy(logits: Tensor, labels,
     """Cross entropy over a class subset; blocked logits get an additive -1e30."""
     if len(allowed) == 0:
         raise ContractError("masked cross entropy needs at least one allowed class")
-    masked = T.add_bias(logits, Tensor(_mask_row(allowed, logits.shape[1])))
+    mask = np.broadcast_to(_mask_row(allowed, logits.shape[1]), logits.shape)
+    masked = T.add(logits, Tensor(mask))
     return T.softmax_cross_entropy(masked, labels)
 
 

@@ -25,14 +25,15 @@ non-finite value written into a model some other way fails at the first op
 that reads it.
 
 `backward` computes only what some parameter reads. Once per call it flags
-the nodes whose gradient can reach a parameter leaf (a `detach` output and
-a non-parameter leaf never can), visits only those, and hands each rule its
-inputs' flags, as PyTorch autograd hands a function `needs_input_grad`.
-`linear` uses them to skip the input gradient of a batch input, a detached
-latent or a cached constant; `add_bias` skips a constant bias's column sum.
+the nodes whose gradient can reach a parameter leaf (a non-parameter leaf
+never can), visits only those, and hands each rule its inputs' flags, as
+PyTorch autograd hands a function `needs_input_grad`. `linear` uses them to
+skip the input gradient of a batch input, a detached latent or a cached
+constant. A non-parameter leaf is the tape's only gradient stop: `detach`
+returns an untraced constant, which the next op lifts as such a leaf.
 
-Shape rules are deliberately narrow: the only broadcast is the bias-row add,
-in `add_bias` and in the fused affine map `linear`.
+Shape rules are deliberately narrow: the only broadcast is the bias-row add
+in the fused affine map `linear`.
 
 A T-step spiking layer runs its steps as one node over the stacked (T*B, N)
 rows, step t in rows t*B to (t+1)*B (the multi-step mode of SpikingJelly's
@@ -226,14 +227,6 @@ def smul(a: Tensor, c: float) -> Tensor:
     return _apply("smul", (as_tensor(a),), float(c))
 
 
-def add_bias(m: Tensor, bias: Tensor) -> Tensor:
-    """Row-broadcast bias add: (B,N) + (N,)."""
-    m, bias = as_tensor(m), as_tensor(bias)
-    if m.data.ndim != 2 or bias.data.ndim != 1 or m.shape[1] != bias.shape[0]:
-        raise ShapeError(f"add_bias needs (B,N)+(N,), got {m.shape} and {bias.shape}")
-    return _apply("add_bias", (m, bias))
-
-
 def _check_steps(a: Tensor, steps: int, where: str) -> int:
     steps = int(steps)
     if a.data.ndim != 2 or steps < 1 or a.shape[0] % steps != 0:
@@ -246,10 +239,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor, steps: int = 1) -> Tensor:
 
     `x` stacks `steps` equal row blocks, one per time step. One node whose
     forward and backward evaluate exactly what the unfused per-block
-    composition, the product x_t W^T and then `add_bias`, does, so the results
-    are bit-identical: every product runs block by block, and the backward sums
-    the weight and bias gradients from the last block down, in the order the
-    tape would add them.
+    composition, the product x_t W^T and then a row-broadcast bias add, does,
+    so the results are bit-identical: every product runs block by block, and
+    the backward sums the weight and bias gradients from the last block down,
+    in the order the tape would add them.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
@@ -288,8 +281,10 @@ def select_cols(a: Tensor, cols: Sequence[int]) -> Tensor:
 
 
 def detach(a: Tensor) -> Tensor:
-    """Identity in the forward pass; blocks all gradient flow."""
-    return _apply("detach", (as_tensor(a),))
+    """The value of `a` as an untraced constant sharing its array: no node is
+    recorded, and an op that reads it lifts it as a non-parameter leaf, which
+    stops the gradient. A constant may be read on any tape."""
+    return Tensor._checked(as_tensor(a).data)
 
 
 def _check_labels(labels, n_rows: int, n_classes: int) -> Array:
@@ -381,10 +376,6 @@ def _fwd_distill_kl(ins, temperature):
 # backward rules
 
 
-def _bwd_add_bias(g, out, ins, aux, needs):
-    return [g, g.sum(axis=0) if needs[1] else None]
-
-
 def _linear_values(ins, steps):
     x, w, b = ins
     wt = np.ascontiguousarray(w.T)
@@ -454,7 +445,6 @@ def _bwd_distill_kl(g, out, ins, temperature, needs, saved):
 
 register_op("add", lambda ins, aux: ins[0] + ins[1], lambda g, out, ins, aux, needs: [g, g])
 register_op("smul", lambda ins, aux: ins[0] * aux, lambda g, out, ins, aux, needs: [g * aux])
-register_op("add_bias", lambda ins, aux: ins[0] + ins[1], _bwd_add_bias)
 register_op("linear", _linear_values, _bwd_linear)
 register_op("step_mean", lambda ins, aux: _step_mean_values(ins[0], aux), _bwd_step_mean)
 register_op(
@@ -465,7 +455,6 @@ register_op(
     lambda ins, aux: np.ascontiguousarray(ins[0][:, list(aux)]),
     _bwd_select_cols,
 )
-register_op("detach", lambda ins, aux: ins[0], lambda g, out, ins, aux, needs: [None])
 register_op("softmax_xent", _fwd_softmax_xent, _bwd_softmax_xent, saves=True)
 register_op("distill_kl", _fwd_distill_kl, _bwd_distill_kl, saves=True)
 
@@ -479,11 +468,11 @@ def backward(tape: Tape, seed: Tensor) -> dict[str, Array]:
 
     The seed must be a scalar node of this tape. First, in tape order, each
     node up to the seed gets a needs-gradient flag: a parameter leaf needs
-    one, a non-parameter leaf and a `detach` output need none, and any other
-    node needs one if any of its inputs does. The reverse pass then visits
-    only flagged nodes, hands each rule its inputs' flags, and accumulates
-    only flagged inputs' gradients; parameter leaves the seed does not depend
-    on get zero gradients. Returns one array per parameter id, shaped like
+    one, a non-parameter leaf (a constant, or a detached value) needs none,
+    and any other node needs one if any of its inputs does. The reverse pass
+    then visits only flagged nodes, hands each rule its inputs' flags, and
+    accumulates only flagged inputs' gradients; parameter leaves the seed
+    does not depend on get zero gradients. Returns one array per parameter id, shaped like
     its parameter: views into one vector, in leaf order, checked once.
     """
     if seed.tape is not tape or seed.node is None:
@@ -495,7 +484,7 @@ def backward(tape: Tape, seed: Tensor) -> dict[str, Array]:
         if node.op == "leaf":
             needs.append(node.param_id is not None)
         else:
-            needs.append(node.op != "detach" and any([needs[i] for i in node.inputs]))
+            needs.append(any([needs[i] for i in node.inputs]))
     adjoints: list[Array | None] = [None] * (seed.node + 1)
     if needs[seed.node]:
         adjoints[seed.node] = np.ones((), dtype=np.float64)

@@ -1,11 +1,12 @@
 """Tape ops and a replay check that only the tests use.
 
-No program path records `matmul`, `transpose`, `mul` or `sum_all`: the model
-runs every affine map through the fused `linear`, and every loss term is
-already a scalar (`softmax_xent`, `distill_kl`), combined by `add` and
-`smul`. The tests use them to spell out the unfused composition a fused op
-must match bit for bit, and to reduce an output to a scalar seed. They are
-registered through the public `register_op`, which rejects a second
+No program path records `matmul`, `transpose`, `add_bias`, `mul` or
+`sum_all`: the model runs every affine map through the fused `linear`, the
+continual-learning class mask is a constant (B, C) addend of `add`, and every
+loss term is already a scalar (`softmax_xent`, `distill_kl`), combined by
+`add` and `smul`. The tests use them to spell out the unfused composition a
+fused op must match bit for bit, and to reduce an output to a scalar seed.
+They are registered through the public `register_op`, which rejects a second
 registration of one name, so import this module under this one name only.
 """
 
@@ -14,9 +15,6 @@ import numpy as np
 import iemf.tensor as T
 from iemf.errors import ShapeError
 from iemf.tensor import Tape, Tensor, register_op
-
-OPS = ("matmul", "transpose", "mul", "sum_all")
-
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """C[i,j] = sum_p A[i,p] B[p,j] for 2-D operands."""
@@ -35,6 +33,14 @@ def transpose(a: Tensor) -> Tensor:
     return T._apply("transpose", (a,))
 
 
+def add_bias(m: Tensor, bias: Tensor) -> Tensor:
+    """Row-broadcast bias add: (B,N) + (N,)."""
+    m, bias = T.as_tensor(m), T.as_tensor(bias)
+    if m.data.ndim != 2 or bias.data.ndim != 1 or m.shape[1] != bias.shape[0]:
+        raise ShapeError(f"add_bias needs (B,N)+(N,), got {m.shape} and {bias.shape}")
+    return T._apply("add_bias", (m, bias))
+
+
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = T.as_tensor(a), T.as_tensor(b)
     if a.shape != b.shape:
@@ -51,6 +57,10 @@ def _bwd_matmul(g, out, ins, aux, needs):
     return [g @ b.T, a.T @ g]
 
 
+def _bwd_add_bias(g, out, ins, aux, needs):
+    return [g, g.sum(axis=0) if needs[1] else None]
+
+
 def _bwd_sum_all(g, out, ins, aux, needs):
     return [np.full(ins[0].shape, float(g))]
 
@@ -61,6 +71,7 @@ register_op(
     lambda ins, aux: np.ascontiguousarray(ins[0].T),
     lambda g, out, ins, aux, needs: [np.ascontiguousarray(g.T)],
 )
+register_op("add_bias", lambda ins, aux: ins[0] + ins[1], _bwd_add_bias)
 register_op(
     "mul",
     lambda ins, aux: ins[0] * ins[1],

@@ -7,7 +7,9 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+import iemf.tensor as T
 from iemf.continual import (
+    MASK_NEG,
     aa_aia,
     afr,
     build_task_stream,
@@ -19,8 +21,10 @@ from iemf.data import DataSpec, generate
 from iemf.errors import ConfigError, ContractError
 from iemf.model import ModelConfig, init_model
 from iemf.modulation import IEMFConfig
-from iemf.tensor import Tensor
+from iemf.tensor import Tape, Tensor, backward, softmax_cross_entropy
 from iemf.training import OptimConfig, train
+
+import reference_ops as R
 
 # frozen 3-task seed-0 regression fixture (generated once)
 GOLDEN_MATRIX = [[0.5833333333333334],
@@ -100,6 +104,61 @@ def test_lwf_loss_empty_previous_classes_drops_distillation():
     full, _ = lwf_loss(logits, [0], old, [0, 1], [], temperature=2.0, lam=1.0)
     ce, _ = masked_cross_entropy(logits, [0], [0, 1])
     assert full.item() == ce.item()
+
+
+def _mask_case(b, m):
+    """Logits holding ±0.0 and values up to 1e4, an allowed class subset in
+    shuffled order (one class possible), the other classes, and labels drawn
+    from the allowed ones."""
+    rng = np.random.default_rng(100 * b + m)
+    logits = rng.standard_normal((b, m)) * rng.choice([1.0, 1e2, 1e4], size=(b, m))
+    logits[rng.random((b, m)) < 0.2] = 0.0
+    logits[rng.random((b, m)) < 0.2] = -0.0
+    order = rng.permutation(m)
+    k = int(rng.integers(1, m))
+    allowed, rest = [int(c) for c in order[:k]], [int(c) for c in order[k:]]
+    return logits, allowed, rest, rng.choice(allowed, size=b)
+
+
+def _add_bias_reference(logits, labels, allowed):
+    row = np.full(logits.shape[1], MASK_NEG)
+    row[allowed] = 0.0
+    return softmax_cross_entropy(R.add_bias(logits, Tensor(row)), labels)
+
+
+def _assert_bits_equal(got, want):
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _loss_probs_grad(criterion, logits0):
+    tape = Tape()
+    loss, probs = criterion(tape.leaf(logits0, param_id="logits"))
+    return loss.data, probs, backward(tape, loss)["logits"]
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+@pytest.mark.parametrize("b", [1, 2, 32])
+def test_masked_criteria_equal_the_add_bias_composition_bit_for_bit(b, m):
+    """The class mask added as a constant (B, C) addend gives the loss,
+    probabilities and logits gradient of the row-broadcast bias add."""
+    logits0, allowed, rest, labels = _mask_case(b, m)
+    got = _loss_probs_grad(lambda z: masked_cross_entropy(z, labels, allowed), logits0)
+    want = _loss_probs_grad(lambda z: _add_bias_reference(z, labels, allowed), logits0)
+    for g, w in zip(got, want):
+        _assert_bits_equal(g, w)
+
+    old = Tensor(np.random.default_rng(m).standard_normal((b, m)))
+    temp, lam = 2.0, 0.7
+
+    def reference_lwf(z):
+        ce, probs = _add_bias_reference(z, labels, allowed)
+        kl = T.distill_kl(T.select_cols(z, rest), Tensor(old.data[:, rest]), temp)
+        return T.add(ce, T.smul(kl, lam * temp**2)), probs
+
+    got = _loss_probs_grad(lambda z: lwf_loss(z, labels, old, allowed, rest, temp, lam), logits0)
+    want = _loss_probs_grad(reference_lwf, logits0)
+    for g, w in zip(got, want):
+        _assert_bits_equal(g, w)
 
 
 def test_lwf_loss_two_class_hand_computation():

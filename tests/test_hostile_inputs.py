@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from iemf.cli import main
 from iemf.config import from_dict
-from iemf.container import FORMAT_VERSION, MAGIC
-from iemf.errors import ConfigError
+from iemf.container import FORMAT_VERSION, MAGIC, load_checkpoint
+from iemf.errors import ConfigError, FormatError
 from iemf.util import dump_json
 
 CONFIG = {
@@ -283,6 +283,29 @@ def test_malformed_checkpoint_rejected(runs, tmp_path, case):
     CHECKPOINT_CASES[case](header)
     checkpoint = _write_container(tmp_path / "checkpoint.iemf", header, payload)
     _assert_rejected(_sharpness_argv(runs, str(tmp_path), checkpoint))
+
+
+def _listed_twice(path, name, out):
+    """Copy of container `path` whose header lists section `name` a second
+    time, pointing at appended bytes of the same shape that all read 7.0."""
+    header, payload = _read_container(path)
+    entry = dict(next(e for e in header["sections"] if e["name"] == name))
+    header["sections"].append({**entry, "offset": len(payload)})
+    return _write_container(out, header, payload + struct.pack(f"<{entry['count']}d",
+                                                               *[7.0] * entry["count"]))
+
+
+def test_dataset_listing_a_section_twice_rejected(runs, tmp_path):
+    data = _listed_twice(runs["data"], "train/x_a", tmp_path / "data.iemf")
+    err = _assert_rejected(["train", "--config", runs["config"], "--data", data,
+                            "--out", str(tmp_path / "out")])
+    assert "section 'train/x_a' is listed twice" in err
+
+
+def test_checkpoint_listing_a_section_twice_rejected(runs, tmp_path):
+    checkpoint = _listed_twice(runs["checkpoint"], "param/fusion.W", tmp_path / "ckpt.iemf")
+    with pytest.raises(FormatError, match="section 'param/fusion.W' is listed twice"):
+        load_checkpoint(checkpoint)
 
 
 def _cost_argv(tmp_path, metrics, labels=None):

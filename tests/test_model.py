@@ -179,7 +179,7 @@ def test_fusion_locality_matches_manual_concat():
     tape2 = Tape()
     w = tape2.leaf(model.params["fusion.W"], param_id="w")
     b = tape2.leaf(model.params["fusion.b"], param_id="b")
-    logits = T.add_bias(R.matmul(tape2.leaf(z), R.transpose(w)), b)
+    logits = R.add_bias(R.matmul(tape2.leaf(z), R.transpose(w)), b)
     ce, _ = T.softmax_cross_entropy(logits, batch.y)
     manual = backward(tape2, ce)
     assert np.max(np.abs(grads["fusion.W"] - manual["w"])) < 1e-12
@@ -239,11 +239,12 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def test_tape_nodes_per_step_at_shipped_config_shapes(name, nodes):
     """One training step's tape at the shape of `configs/<name>.json`, batch included.
 
-    Continuous: 14 parameter leaves, 2 input leaves, 7 `linear`, 2 `relu`,
-    `concat_cols`, 2 `detach`, 3 `softmax_xent` and 3 nodes combining the
-    losses. Spiking (T=4, depth 2) swaps the 2 `relu`s for 4 `lif_layer`
-    and adds one `step_mean` per logit set: every layer, the fusion layer and
-    the heads run their T steps as one node over the stacked rows.
+    Continuous: 14 parameter leaves, 2 input leaves, 2 constant leaves (the
+    probe heads' detached latents), 7 `linear`, 2 `relu`, `concat_cols`,
+    3 `softmax_xent` and 3 nodes combining the losses. Spiking (T=4, depth 2)
+    swaps the 2 `relu`s for 4 `lif_layer` and adds one `step_mean` per logit
+    set: every layer, the fusion layer and the heads run their T steps as one
+    node over the stacked rows.
     """
     cfg = load_config(str(CONFIGS / f"{name}.json"))
     model = init_model(cfg.model, cfg.seed)

@@ -2,9 +2,10 @@
 
 Two gates: the op kinds `iemf.tensor` registers are exactly those that
 training (both neuron modes), LwF continual learning and fusion sharpness
-record on their tapes; and every public module-level name in `src/iemf/` is
-read by the package itself, except the listed ones. A helper only the tests
-need lives under `tests/` (see `reference_ops.py`).
+record on their tapes; and every module-level name in `src/iemf/`, public or
+private (dunders aside), is read by the package itself, except the listed
+ones. A helper only the tests need lives under `tests/` (see
+`reference_ops.py`).
 """
 
 import ast
@@ -24,7 +25,7 @@ from iemf.training import OptimConfig, train
 
 SRC = Path(iemf.__file__).resolve().parent
 
-# (module, name) pairs defined publicly that nothing in the package reads
+# (module, name) pairs defined at module level that nothing in the package reads
 UNREAD = {
     ("model", "lif_step"): "`bench/spans.py` wraps it by name",
     ("analysis", "hessian_eigens"): "kept until a matrix-free curvature estimate replaces it",
@@ -82,7 +83,7 @@ def _module_aliases(tree: ast.Module) -> tuple[dict[str, tuple[str, str]], dict[
 
 
 def _defined(stmt: ast.stmt) -> list[str]:
-    """Public names a top-level statement defines."""
+    """Names a top-level statement defines, dunders aside."""
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
         found = [stmt.name]
     elif isinstance(stmt, ast.Assign):
@@ -91,11 +92,11 @@ def _defined(stmt: ast.stmt) -> list[str]:
         found = [stmt.target.id]
     else:
         found = []
-    return [name for name in found if not name.startswith("_")]
+    return [name for name in found if not name.startswith("__")]
 
 
-def unread_public_names(sources: dict[str, str]) -> set[tuple[str, str]]:
-    """(module, name) pairs of public module-level definitions in `sources`
+def unread_names(sources: dict[str, str]) -> set[tuple[str, str]]:
+    """(module, name) pairs of module-level definitions in `sources`
     ({module: source}) that no module reads outside the definition itself.
 
     A read is a loaded name that resolves, through `from .m import` chains, to
@@ -134,15 +135,16 @@ def unread_public_names(sources: dict[str, str]) -> set[tuple[str, str]]:
 
 def test_public_names_are_read_by_the_package_except_the_listed_ones():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    assert unread_public_names(sources) == set(UNREAD)
+    assert unread_names(sources) == set(UNREAD)
 
 
 def test_an_unread_public_name_is_found():
     sources = {
         "a": "from . import b as B\nfrom .b import used\n\n"
              "def main():\n    return used() + B.CONST\n\nmain()\n",
-        "b": "CONST = 1\nSPARE = 2\n\ndef used():\n    return 0\n\n"
+        "b": "__all__ = []\nCONST = 1\nSPARE = 2\n_LIMIT = 3\n\n"
+             "def used():\n    return _helper(_LIMIT)\n\ndef _helper(n):\n    return n\n\n"
              "def recursive(n):\n    return recursive(n - 1)\n\ndef _private():\n    pass\n",
         "__init__": "from .b import SPARE, recursive\n",
     }
-    assert unread_public_names(sources) == {("b", "SPARE"), ("b", "recursive")}
+    assert unread_names(sources) == {("b", "SPARE"), ("b", "recursive"), ("b", "_private")}

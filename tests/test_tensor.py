@@ -185,8 +185,8 @@ def test_kernel_gradients_finite_difference_sweep():
     def build(vals):
         tape = Tape()
         a, b, bias, w, c = (tape.leaf(vals[k], param_id=k) for k in ("a", "b", "bias", "w", "c"))
-        m = T.add_bias(R.mul(T.add(a, b), T.add(a, T.smul(b, -1.0))), bias)
-        m = T.add_bias(T.smul(m, 0.7), Tensor(np.full(4, 0.3)))
+        m = R.add_bias(R.mul(T.add(a, b), T.add(a, T.smul(b, -1.0))), bias)
+        m = R.add_bias(T.smul(m, 0.7), Tensor(np.full(4, 0.3)))
         cat = T.concat_cols(m, R.transpose(R.transpose(m)))
         sel = T.select_cols(cat, [1, 3, 3, 6])
         kl = T.distill_kl(T.select_cols(cat, [0, 2]), Tensor(old), 2.0)
@@ -226,7 +226,7 @@ def test_linear_is_bit_identical_to_the_composed_affine_map():
     for fused in (True, False):
         tape = Tape()
         x, w, b = (tape.leaf(v, param_id=k) for k, v in (("x", x0), ("w", w0), ("b", b0)))
-        out = T.linear(x, w, b) if fused else T.add_bias(R.matmul(x, R.transpose(w)), b)
+        out = T.linear(x, w, b) if fused else R.add_bias(R.matmul(x, R.transpose(w)), b)
         grads = backward(tape, R.sum_all(R.mul(out, weights)))
         runs.append((out.data, grads, len(tape)))
     (fused_out, fused_grads, fused_nodes), (out, grads, nodes) = runs
@@ -474,6 +474,25 @@ def test_detach_blocks_gradient():
     assert np.array_equal(grads["x"], np.ones((2, 2)))
 
 
+def test_detach_returns_an_untraced_constant():
+    """`detach` records nothing; the op that reads the constant lifts it as
+    one non-parameter leaf, on its own tape or on any other."""
+    tape = Tape()
+    t = T.smul(tape.leaf(np.arange(6.0).reshape(2, 3), param_id="w"), 2.0)
+    before = len(tape)
+    c = T.detach(t)
+    assert c.tape is None and c.node is None and c.data is t.data
+    assert len(tape) == before
+    out = T.add(t, c)
+    assert len(tape) == before + 2
+    lifted = tape.nodes[before]
+    assert lifted.op == "leaf" and lifted.param_id is None and lifted.value is t.data
+    assert tape.nodes[out.node].inputs == (t.node, before)
+    other = Tape()
+    T.add(other.leaf(np.ones((2, 3))), c)
+    assert [node.op for node in other.nodes] == ["leaf", "leaf", "add"]
+
+
 def _counting_backward_rules(monkeypatch, ops):
     """Wrap the backward rule of each op kind in `ops` with a call counter."""
     calls = dict.fromkeys(ops, 0)
@@ -490,16 +509,17 @@ def _counting_backward_rules(monkeypatch, ops):
 
 def test_backward_never_visits_a_branch_without_parameters(monkeypatch):
     """A branch reached only through `detach` or a constant leaf needs no
-    gradient, so its rules are never called; the parameter's gradient holds."""
-    calls = _counting_backward_rules(monkeypatch, ["relu", "smul"])
+    gradient, and no rule behind a detached value runs, though it reads the
+    parameter; the parameter's gradient holds."""
+    calls = _counting_backward_rules(monkeypatch, ["relu", "smul", "select_cols"])
     tape = Tape()
     x = tape.leaf(np.array([[-1.0, 2.0], [3.0, -4.0]]))
     w = tape.leaf(np.array([[0.5, -1.5], [2.5, 1.0]]), param_id="w")
     h = T.smul(w, 2.0)
     through_constant = relu(x)
-    through_detach = relu(T.detach(h))
+    through_detach = relu(T.detach(T.select_cols(h, [1, 0])))
     grads = backward(tape, R.sum_all(T.add(R.mul(h, through_constant), through_detach)))
-    assert calls == {"relu": 0, "smul": 1}
+    assert calls == {"relu": 0, "smul": 1, "select_cols": 0}
     assert np.array_equal(grads["w"], 2.0 * np.maximum(0.0, x.data))
 
 
