@@ -13,7 +13,6 @@ from .analysis import (
     QuadraticProblem,
     SharpnessReport,
     computational_cost,
-    hessian_eigens,
     landscape_slice,
     sharpness,
     verify_contraction,
@@ -49,7 +48,6 @@ from .training import (
     OptimConfig,
     flops_per_epoch,
     forward_flops,
-    matmul_flops,
     sgd_step,
     top1_accuracy,
     train,

@@ -419,36 +419,3 @@ def computational_cost(error_curves: dict[str, list[float]], flops: dict[str, fl
         cost[name] = (sum(reached_epochs) / n_thresholds) * float(flops[name])
     return CostReport(thresholds=thresholds, epochs_to_threshold=epochs, omega=dict(flops),
                       cost=cost, unreached=unreached)
-
-
-# ---------------------------------------------------------------------------
-# dense Hessian via central differences of the gradient
-
-
-MAX_DENSE_PARAMS = 2000
-
-
-def finite_difference_hessian(grad_fn, w0: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Column j = (grad(w + h e_j) - grad(w - h e_j)) / (2h)."""
-    dim = w0.size
-    hess = np.empty((dim, dim))
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = h
-        hess[:, j] = (grad_fn(w0 + e) - grad_fn(w0 - e)) / (2.0 * h)
-    return hess
-
-
-def hessian_eigens(model: MultimodalModel, data, h: float = 1e-4) -> np.ndarray:
-    """Ascending eigenvalues of the symmetrized finite-difference Hessian."""
-    _, grad_fn, w0, _ = model_objective(model, data)
-    if w0.size > MAX_DENSE_PARAMS:
-        raise ContractError(
-            f"dense Hessian supports at most {MAX_DENSE_PARAMS} parameters, model has {w0.size}"
-        )
-    hess = finite_difference_hessian(grad_fn, w0, h)
-    sym = 0.5 * (hess + hess.T)
-    eigenvalues = np.linalg.eigvalsh(sym)
-    if not np.all(np.isfinite(eigenvalues)):
-        raise NumericError("Hessian eigendecomposition produced non-finite values")
-    return eigenvalues

@@ -271,6 +271,10 @@ def main(argv=None) -> int:
     except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # a size below the configuration's bounds can still exceed this machine
+        print(f"error: out of memory ({str(exc) or 'allocation failed'})", file=sys.stderr)
+        return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -122,6 +122,33 @@ class ExperimentConfig:
 # Model config field -> data spec field it is filled in from.
 _WIDTHS = {"d_in_a": "d_a", "d_in_v": "d_v", "n_classes": "n_classes"}
 
+# The most float64 values a dataset's inputs or a model's parameters may hold
+# (1 GiB), so that a larger size ends at load rather than in an allocation.
+MAX_VALUES = 2**27
+
+
+def _dataset_values(d: DataSpec) -> int:
+    return (d.train_per_class + d.test_per_class) * d.n_classes * (d.d_a + d.d_v)
+
+
+def _parameter_count(m: ModelConfig) -> int:
+    """The size of what `model.param_shapes` lists: per encoder the first layer,
+    depth - 2 hidden layers and the latent one; the fusion layer and two heads."""
+    deep = m.depth > 1
+    first = m.hidden if deep else m.latent
+    rest = ((m.depth - 2) * m.hidden + m.latent) * (m.hidden + 1) if deep else 0
+    return (m.d_in_a + m.d_in_v + 2) * first + 2 * rest + (4 * m.latent + 3) * m.n_classes
+
+
+def _check_sizes(data: DataSpec, model: ModelConfig) -> None:
+    for count, what in (
+        (_dataset_values(data),
+         "data: (train_per_class + test_per_class) * n_classes * (d_a + d_v) float64 values"),
+        (_parameter_count(model), "model: parameters from hidden, latent and depth"),
+    ):
+        if count > MAX_VALUES:
+            raise ConfigError(f"{what}: {count}, more than {MAX_VALUES}")
+
 
 # Field types per dataclass; resolving the annotations costs more than checking a record.
 _type_hints = functools.cache(get_type_hints)
@@ -223,6 +250,7 @@ def from_dict(raw: dict, seed_override: int | None = None) -> ExperimentConfig:
     data = build(DataSpec, {"seed": seed, **_object(top.pop("data", {}), "data")}, "data")
     model = build(ModelConfig, top.pop("model", {}), "model",
                   **{width: getattr(data, key) for width, key in _WIDTHS.items()})
+    _check_sizes(data, model)
     optim = _object(top.pop("optim", {}), "optim")
     mslr = optim.pop("mslr", None)
     mslr = {} if mslr is None else _object(mslr, "optim.mslr")

@@ -81,26 +81,37 @@ def read_container(path: str) -> tuple[dict[str, np.ndarray], dict]:
         raise FormatError(f"{path}: malformed header ({exc})") from exc
     header = _build(Header, raw, f"{path}: header")
     payload = blob[16 + header_len :]
-    sections: dict[str, np.ndarray] = {}
-    claimed: list[tuple[int, int]] = []
+    names: set[str] = set()
     for entry in header.sections:
         name, shape, count, offset = entry.name, entry.shape, entry.count, entry.offset
-        if name in sections:
+        if name in names:
             raise FormatError(f"{path}: section {name!r} is listed twice")
+        names.add(name)
         if any(dim < 0 for dim in shape):
             raise FormatError(f"{path}: section {name!r} has a negative dimension")
         if count != math.prod(shape):
             raise FormatError(f"{path}: section {name!r} count does not match its shape")
-        nbytes = count * 8
-        if offset < 0 or offset + nbytes > len(payload):
+        if offset < 0 or offset + count * 8 > len(payload):
             raise FormatError(f"{path}: section {name!r} exceeds the payload")
-        for start, stop in claimed:
-            if offset < stop and start < offset + nbytes:
-                raise FormatError(f"{path}: section {name!r} overlaps another section")
-        claimed.append((offset, offset + nbytes))
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        sections[name] = arr.astype(np.float64).reshape(shape)
+    _check_no_overlap(path, header.sections)
+    sections = {}
+    for entry in header.sections:
+        arr = np.frombuffer(payload, dtype="<f8", count=entry.count, offset=entry.offset)
+        sections[entry.name] = arr.astype(np.float64).reshape(entry.shape)
     return sections, header.meta
+
+
+def _check_no_overlap(path: str, entries: list[Section]) -> None:
+    """Reject two sections whose byte ranges [offset, offset + 8 count) share a
+    byte, naming the later one in header order; an empty range overlaps only
+    a range it lies strictly inside. Sorted by (start, end), an overlapping
+    pair exists exactly when some range starts before its predecessor ends
+    (an empty range sorts ahead of the ranges that start where it sits)."""
+    claimed = sorted((e.offset, e.offset + e.count * 8, i) for i, e in enumerate(entries))
+    for (_, stop, i), (start_next, _, j) in zip(claimed, claimed[1:]):
+        if start_next < stop:
+            raise FormatError(f"{path}: section {entries[max(i, j)].name!r} overlaps another "
+                              "section")
 
 
 def _labels_to_f64(y: np.ndarray) -> np.ndarray:

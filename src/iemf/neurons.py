@@ -120,8 +120,11 @@ register_op(
     "relu",
     lambda ins, aux: np.maximum(0.0, ins[0]),
     lambda g, out, ins, aux, needs: [g * (ins[0] > 0.0)],
+    lambda out, ins, aux: ins[0].size,
 )
-register_op("lif_layer", _lif_forward, _lif_backward, saves=True)
+# per neuron and step: leak, accumulate, threshold shift, fire, reset
+register_op("lif_layer", _lif_forward, _lif_backward, lambda out, ins, aux: 5 * out.size,
+            saves=True)
 
 
 def relu(x: Tensor) -> Tensor:

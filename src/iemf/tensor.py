@@ -39,6 +39,9 @@ A T-step spiking layer runs its steps as one node over the stacked (T*B, N)
 rows, step t in rows t*B to (t+1)*B (the multi-step mode of SpikingJelly's
 `SeqToANNContainer`): `linear` and `step_mean` take that step count, and
 their results equal the per-step composition bit for bit.
+
+Every op kind also registers a FLOPs rule over its node's shapes; `Tape.flops`
+sums the rules over the ops a pass recorded (see `training.forward_flops`).
 """
 
 from __future__ import annotations
@@ -120,39 +123,44 @@ class Node:
 # (value, saved) for an op registered with saves=True;
 # backward(out_grad, out_value, input_values, aux, needs[, saved]) -> one
 # gradient (or None) per input, where `needs` holds one bool per input: False
-# where no parameter reads that input's gradient, so the rule may return None.
+# where no parameter reads that input's gradient, so the rule may return None;
+# flops(out_value, input_values, aux) -> the FLOPs of one node's forward.
 ForwardRule = Callable[[list[Array], Any], Any]
 BackwardRule = Callable[..., list[Array | None]]
+FlopsRule = Callable[[Array, list[Array], Any], int]
 
 
 @dataclass(frozen=True)
 class OpRule:
     forward: ForwardRule
     backward: BackwardRule
+    flops: FlopsRule
     saves: bool = False
 
 
 _OPS: dict[str, OpRule] = {}
 
 
-def register_op(name: str, forward: ForwardRule, backward: BackwardRule,
+def register_op(name: str, forward: ForwardRule, backward: BackwardRule, flops: FlopsRule,
                 saves: bool = False) -> None:
-    """Register an op kind; `backward` must accept the argument list above.
+    """Register an op kind; `backward` and `flops` must accept the argument
+    lists above.
 
     Its `needs` flags let a rule skip gradients no parameter reads; a gradient
     returned for an input whose flag is False is dropped, never accumulated.
     """
     if name in _OPS:
         raise ContractError(f"operation {name!r} is already registered")
-    args = (None,) * (6 if saves else 5)
-    try:
-        inspect.signature(backward).bind(*args)
-    except TypeError as exc:
-        raise ContractError(
-            f"backward rule of {name!r} must take (out_grad, out_value, input_values, aux, "
-            f"needs{', saved' if saves else ''}): {exc}"
-        ) from None
-    _OPS[name] = OpRule(forward, backward, saves)
+    for kind, rule, params in (
+        ("backward", backward,
+         "out_grad, out_value, input_values, aux, needs" + (", saved" if saves else "")),
+        ("flops", flops, "out_value, input_values, aux"),
+    ):
+        try:
+            inspect.signature(rule).bind(*(None,) * len(params.split(", ")))
+        except TypeError as exc:
+            raise ContractError(f"{kind} rule of {name!r} must take ({params}): {exc}") from None
+    _OPS[name] = OpRule(forward, backward, flops, saves)
 
 
 class Tape:
@@ -169,6 +177,12 @@ class Tape:
         nid = len(self.nodes)
         self.nodes.append(Node("leaf", (), arr, None, param_id))
         return Tensor._checked(arr, self, nid)
+
+    def flops(self) -> int:
+        """The FLOPs rules of the recorded ops summed; leaves cost nothing."""
+        nodes = self.nodes
+        return sum(_OPS[n.op].flops(n.value, [nodes[i].value for i in n.inputs], n.aux)
+                   for n in nodes if n.op != "leaf")
 
 
 def _record(op: str, operands: Sequence[Tensor], value: Array, aux: Any = None,
@@ -357,12 +371,17 @@ def _softmax_parts(x: Array) -> tuple[Array, Array, Array]:
 
 
 def _fwd_softmax_xent(ins, labels):
+    """FLOPs: max-shift, exp, sum and normalise per logit; pick, log and mean per row."""
     shifted, e, s = _softmax_parts(ins[0])
     picked = shifted[np.arange(shifted.shape[0]), labels] - np.log(s)[:, 0]
     return np.asarray(-picked.mean()), e / s
 
 
 def _fwd_distill_kl(ins, temperature):
+    """FLOPs, 16 per logit pair: two 1/T scalings, two softmax parts (max-shift,
+    exp, sum), two log-softmax subtractions, the teacher's exp, the log-ratio,
+    its weighting, the row sum and the two normalisations; 3 per row: two logs
+    and the mean."""
     sh_new, e_new, s_new = _softmax_parts(ins[0] / temperature)
     sh_old, e_old, s_old = _softmax_parts(ins[1] / temperature)
     ls_new = sh_new - np.log(s_new)
@@ -443,20 +462,23 @@ def _bwd_distill_kl(g, out, ins, temperature, needs, saved):
     return [(p_new - p_old) * scale, None]
 
 
-register_op("add", lambda ins, aux: ins[0] + ins[1], lambda g, out, ins, aux, needs: [g, g])
-register_op("smul", lambda ins, aux: ins[0] * aux, lambda g, out, ins, aux, needs: [g * aux])
-register_op("linear", _linear_values, _bwd_linear)
-register_op("step_mean", lambda ins, aux: _step_mean_values(ins[0], aux), _bwd_step_mean)
-register_op(
-    "concat_cols", lambda ins, aux: np.concatenate([ins[0], ins[1]], axis=1), _bwd_concat_cols
-)
-register_op(
-    "select_cols",
-    lambda ins, aux: np.ascontiguousarray(ins[0][:, list(aux)]),
-    _bwd_select_cols,
-)
-register_op("softmax_xent", _fwd_softmax_xent, _bwd_softmax_xent, saves=True)
-register_op("distill_kl", _fwd_distill_kl, _bwd_distill_kl, saves=True)
+register_op("add", lambda ins, aux: ins[0] + ins[1], lambda g, out, ins, aux, needs: [g, g],
+            lambda out, ins, aux: out.size)
+register_op("smul", lambda ins, aux: ins[0] * aux, lambda g, out, ins, aux, needs: [g * aux],
+            lambda out, ins, aux: out.size)
+# a multiply and an add per inner-product term, plus the bias add
+register_op("linear", _linear_values, _bwd_linear,
+            lambda out, ins, aux: out.size * (2 * ins[0].shape[1] + 1))
+register_op("step_mean", lambda ins, aux: _step_mean_values(ins[0], aux), _bwd_step_mean,
+            lambda out, ins, aux: ins[0].size)
+register_op("concat_cols", lambda ins, aux: np.concatenate([ins[0], ins[1]], axis=1),
+            _bwd_concat_cols, lambda out, ins, aux: 0)
+register_op("select_cols", lambda ins, aux: np.ascontiguousarray(ins[0][:, list(aux)]),
+            _bwd_select_cols, lambda out, ins, aux: 0)
+register_op("softmax_xent", _fwd_softmax_xent, _bwd_softmax_xent,
+            lambda out, ins, aux: ins[0].shape[0] * (4 * ins[0].shape[1] + 3), saves=True)
+register_op("distill_kl", _fwd_distill_kl, _bwd_distill_kl,
+            lambda out, ins, aux: ins[0].shape[0] * (16 * ins[0].shape[1] + 3), saves=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""SGD training loop, per-modality learning-rate variants, and FLOPs accounting."""
+"""SGD training loop, per-modality learning-rate variants, and FLOPs counted from the tape."""
 
 from __future__ import annotations
 
@@ -7,14 +7,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericError, ShapeError
-from .model import Batch, MultimodalModel, network_logits
+from .model import Batch, MultimodalModel, forward_full, network_logits
 from .modulation import IEMFConfig, iemf_train_step
-from .tensor import Tensor
+from .tensor import Tape, Tensor
 from .util import STREAM_TRAIN, seeded_rng
-
-# Unused here, but bench/spans.py rebinds this attribute of this module by name,
-# so it must stay importable from it.
-from .model import forward_full  # noqa: F401
 
 METHODS = ("vanilla", "mslr")
 
@@ -179,56 +175,22 @@ def train(dataset, model: MultimodalModel, cfg: OptimConfig, on_epoch=None):
 
 
 # ---------------------------------------------------------------------------
-# analytic FLOPs accounting
-
-
-def matmul_flops(m: int, k: int, n: int) -> int:
-    """2*m*k*n: one multiply and one add per inner-product term."""
-    return 2 * m * k * n
-
-
-def _affine_flops(batch: int, fan_in: int, fan_out: int) -> int:
-    return matmul_flops(batch, fan_in, fan_out) + batch * fan_out
-
-
-def _xent_flops(batch: int, n_classes: int) -> int:
-    # max-shift, exp, sum, normalize (~4 per logit) plus per-sample pick/log/mean.
-    return 4 * batch * n_classes + 3 * batch
+# FLOPs accounting
 
 
 def forward_flops(model: MultimodalModel, batch: int) -> int:
-    """Nominal forward cost of one batch, counted over the rows each layer runs.
-
-    Every layer counts once per time step, except each spiking encoder's first
-    affine layer: its drive is the same at every step, so `model._encode`
-    computes it once per batch.
-    """
-    cfg = model.cfg
-    spiking = cfg.neuron_mode == "spiking"
-    rows = cfg.steps * batch  # rows past each encoder's first LIF layer
-    total = 0
-    for modality in ("a", "v"):
-        widths = cfg.encoder_widths(modality)
-        for i in range(cfg.depth):
-            total += _affine_flops(batch if i == 0 else rows, widths[i], widths[i + 1])
-            if spiking:
-                total += 5 * rows * widths[i + 1]  # leaky accumulate, fire, reset
-            elif i < cfg.depth - 1:
-                total += batch * widths[i + 1]  # relu
-    total += _affine_flops(rows, 2 * cfg.latent, cfg.n_classes)
-    total += 2 * _affine_flops(rows, cfg.latent, cfg.n_classes)
-    if spiking:
-        total += 3 * rows * cfg.n_classes  # rate-decoding averages
-    total += 3 * _xent_flops(batch, cfg.n_classes)
-    total += 4  # scalar loss combination
-    return total
+    """FLOPs of one forward pass over `batch` rows: the op kinds' FLOPs rules
+    summed over one recorded `forward_full` of a zero batch, so every op that
+    a training forward runs is counted, and nothing else."""
+    cfg, tape = model.cfg, Tape()
+    zeros = Batch(Tensor._checked(np.zeros((batch, cfg.d_in_a))),
+                  Tensor._checked(np.zeros((batch, cfg.d_in_v))), np.zeros(batch, np.int64))
+    forward_full(zeros, model, tape)
+    return tape.flops()
 
 
 def flops_per_epoch(model: MultimodalModel, n_train: int, cfg: OptimConfig) -> int:
     """Training cost of one epoch: (forward + 2x forward for backward) per batch."""
-    total = 0
     full, rem = divmod(n_train, cfg.batch_size)
-    total += full * 3 * forward_flops(model, cfg.batch_size)
-    if rem:
-        total += 3 * forward_flops(model, rem)
-    return total
+    total = 3 * full * forward_flops(model, cfg.batch_size) if full else 0
+    return total + (3 * forward_flops(model, rem) if rem else 0)

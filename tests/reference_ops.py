@@ -1,4 +1,5 @@
-"""Tape ops and a replay check that only the tests use.
+"""Tape ops, a replay check, the hand-written FLOPs count of the network and
+the dense finite-difference Hessian: references that only the tests use.
 
 No program path records `matmul`, `transpose`, `add_bias`, `mul` or
 `sum_all`: the model runs every affine map through the fused `linear`, the
@@ -13,7 +14,9 @@ registration of one name, so import this module under this one name only.
 import numpy as np
 
 import iemf.tensor as T
-from iemf.errors import ShapeError
+from iemf.analysis import model_objective
+from iemf.errors import ContractError, NumericError, ShapeError
+from iemf.model import ModelConfig
 from iemf.tensor import Tape, Tensor, register_op
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -65,19 +68,27 @@ def _bwd_sum_all(g, out, ins, aux, needs):
     return [np.full(ins[0].shape, float(g))]
 
 
-register_op("matmul", lambda ins, aux: ins[0] @ ins[1], _bwd_matmul)
+def _per_output(out, ins, aux):
+    return out.size
+
+
+register_op("matmul", lambda ins, aux: ins[0] @ ins[1], _bwd_matmul,
+            lambda out, ins, aux: 2 * out.size * ins[0].shape[1])
 register_op(
     "transpose",
     lambda ins, aux: np.ascontiguousarray(ins[0].T),
     lambda g, out, ins, aux, needs: [np.ascontiguousarray(g.T)],
+    lambda out, ins, aux: 0,
 )
-register_op("add_bias", lambda ins, aux: ins[0] + ins[1], _bwd_add_bias)
+register_op("add_bias", lambda ins, aux: ins[0] + ins[1], _bwd_add_bias, _per_output)
 register_op(
     "mul",
     lambda ins, aux: ins[0] * ins[1],
     lambda g, out, ins, aux, needs: [g * ins[1], g * ins[0]],
+    _per_output,
 )
-register_op("sum_all", lambda ins, aux: np.asarray(ins[0].sum()), _bwd_sum_all)
+register_op("sum_all", lambda ins, aux: np.asarray(ins[0].sum()), _bwd_sum_all,
+            lambda out, ins, aux: ins[0].size)
 
 
 def replay_forward(tape: Tape) -> bool:
@@ -99,3 +110,63 @@ def replay_forward(tape: Tape) -> bool:
         if value.shape != node.value.shape or not np.array_equal(value, node.value):
             ok = False
     return ok
+
+
+def hand_forward_flops(cfg: ModelConfig, batch: int) -> int:
+    """The network's forward FLOPs counted by hand from its configuration,
+    layer by layer, over the rows each layer runs; the package counts them
+    from the recorded tape instead. Every layer counts once per time step,
+    except each spiking encoder's first affine layer, whose drive is the same
+    at every step. The last term counts the loss combination as 4, where the
+    tape records three scalar nodes."""
+
+    def affine(rows: int, fan_in: int, fan_out: int) -> int:
+        return 2 * rows * fan_in * fan_out + rows * fan_out
+
+    spiking = cfg.neuron_mode == "spiking"
+    rows = cfg.steps * batch  # rows past each encoder's first LIF layer
+    total = 0
+    for modality in ("a", "v"):
+        widths = cfg.encoder_widths(modality)
+        for i in range(cfg.depth):
+            total += affine(batch if i == 0 else rows, widths[i], widths[i + 1])
+            if spiking:
+                total += 5 * rows * widths[i + 1]  # leaky accumulate, fire, reset
+            elif i < cfg.depth - 1:
+                total += batch * widths[i + 1]  # relu
+    total += affine(rows, 2 * cfg.latent, cfg.n_classes)
+    total += 2 * affine(rows, cfg.latent, cfg.n_classes)
+    if spiking:
+        total += 3 * rows * cfg.n_classes  # rate-decoding averages
+    total += 3 * (4 * batch * cfg.n_classes + 3 * batch)  # the three cross entropies
+    return total + 4
+
+
+MAX_DENSE_PARAMS = 2000
+
+
+def finite_difference_hessian(grad_fn, w0: np.ndarray, h: float = 1e-4) -> np.ndarray:
+    """Column j = (grad(w + h e_j) - grad(w - h e_j)) / (2h)."""
+    dim = w0.size
+    hess = np.empty((dim, dim))
+    for j in range(dim):
+        e = np.zeros(dim)
+        e[j] = h
+        hess[:, j] = (grad_fn(w0 + e) - grad_fn(w0 - e)) / (2.0 * h)
+    return hess
+
+
+def hessian_eigens(model, data, h: float = 1e-4) -> np.ndarray:
+    """Ascending eigenvalues of the symmetrized finite-difference Hessian of
+    the whole-model objective."""
+    _, grad_fn, w0, _ = model_objective(model, data)
+    if w0.size > MAX_DENSE_PARAMS:
+        raise ContractError(
+            f"dense Hessian supports at most {MAX_DENSE_PARAMS} parameters, model has {w0.size}"
+        )
+    hess = finite_difference_hessian(grad_fn, w0, h)
+    sym = 0.5 * (hess + hess.T)
+    eigenvalues = np.linalg.eigvalsh(sym)
+    if not np.all(np.isfinite(eigenvalues)):
+        raise NumericError("Hessian eigendecomposition produced non-finite values")
+    return eigenvalues

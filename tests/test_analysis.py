@@ -10,8 +10,6 @@ import pytest
 from iemf.analysis import (
     QuadraticProblem,
     computational_cost,
-    finite_difference_hessian,
-    hessian_eigens,
     landscape_grid_of,
     landscape_slice,
     model_objective,
@@ -25,6 +23,8 @@ from iemf.errors import ContractError, NumericError
 from iemf.model import ModelConfig, init_model
 from iemf.neurons import LIFParams
 from iemf.training import OptimConfig, train
+
+from reference_ops import finite_difference_hessian, hessian_eigens
 
 
 def quadratic(lams, seed=None):
@@ -145,6 +145,41 @@ def test_sharpness_monotone_in_probe_count():
         report = sharpness_of(loss_fn, grad_fn, w0, 0.5, n_probes=n, ascent_steps=0, seed=7)
         assert report.increase >= previous
         previous = report.increase
+
+
+def _counted_linear(c, dim=5):
+    """loss = c u.w for a unit u, with counters of loss and gradient calls."""
+    u = np.random.default_rng(11).standard_normal(dim)
+    u /= np.linalg.norm(u)
+    calls = {"loss": 0, "grad": 0}
+
+    def loss_fn(w):
+        calls["loss"] += 1
+        return c * float(u @ w)
+
+    def grad_fn(w):
+        calls["grad"] += 1
+        return c * u
+
+    return loss_fn, grad_fn, calls
+
+
+def test_sharpness_ascends_a_small_nonzero_gradient():
+    """Ascent is normalised, so a gradient of norm 1e-6 climbs as far as a
+    large one: each step halves the angle to the gradient, and the estimate
+    reaches c * radius. Only an exactly vanishing gradient stops a probe."""
+    c, radius = 1e-6, 0.5
+    loss_fn, grad_fn, calls = _counted_linear(c)
+    report = sharpness_of(loss_fn, grad_fn, np.zeros(5), radius, n_probes=3, ascent_steps=20)
+    assert calls == {"loss": 1 + 3 * 21, "grad": 3 * 20}
+    assert abs(report.increase - c * radius) <= 1e-9 * c * radius
+
+
+def test_sharpness_stops_a_probe_at_a_zero_gradient():
+    loss_fn, grad_fn, calls = _counted_linear(0.0)
+    report = sharpness_of(loss_fn, grad_fn, np.zeros(5), 0.5, n_probes=3, ascent_steps=20)
+    assert calls == {"loss": 1 + 3, "grad": 3}
+    assert report.increase == 0.0
 
 
 def test_sharpness_rejects_bad_radius():

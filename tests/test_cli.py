@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from iemf.cli import main
+from iemf.cli import _read_metrics_curve, main
 from iemf.config import from_dict, load_config
 from iemf.errors import ConfigError
 
@@ -226,3 +226,12 @@ def test_strict_config_parsing():
     cfg = from_dict({})
     assert cfg.optim.epochs == 100
     assert cfg.data.n_classes == 6
+
+
+def test_metrics_curve_reads_flops_per_epoch_from_a_first_row_past_epoch_1(tmp_path):
+    """A log that starts at epoch 2 (say, a resumed run's) still gives the
+    FLOPs of one epoch: the first row's cumulative count over its epoch."""
+    path = tmp_path / "metrics.csv"
+    path.write_text("epoch,test_acc,flops_cumulative\n2,0.5,300\n3,0.75,450\n")
+    errors, omega = _read_metrics_curve(str(path))
+    assert errors == [0.5, 0.25] and omega == 150.0

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iemf.container import (
     FORMAT_VERSION,
@@ -87,6 +89,53 @@ def test_overlapping_sections_rejected(tmp_path):
     Path(path).write_bytes(MAGIC + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header + payload)
     with pytest.raises(FormatError, match="overlap"):
         read_container(path)
+
+
+def _write_sections(path, entries, payload_values):
+    """A container whose header lists `entries`, (name, byte offset, count) each."""
+    header = json.dumps({"meta": {}, "sections": [
+        {"name": name, "shape": [count], "count": count, "offset": offset}
+        for name, offset, count in entries
+    ]}).encode()
+    payload = np.arange(float(payload_values)).astype("<f8").tobytes()
+    Path(path).write_bytes(MAGIC + struct.pack("<I", FORMAT_VERSION)
+                           + struct.pack("<Q", len(header)) + header + payload)
+    return str(path)
+
+
+@pytest.mark.parametrize("offset, loads", [(0, True), (8, False), (16, False), (24, True)])
+def test_an_empty_section_overlaps_only_strictly_inside_another(tmp_path, offset, loads):
+    path = _write_sections(tmp_path / "blob.iemf", [("a", 0, 3), ("empty", offset, 0)], 4)
+    if loads:
+        sections, _ = read_container(path)
+        assert sections["empty"].shape == (0,) and np.array_equal(sections["a"], [0.0, 1.0, 2.0])
+    else:
+        with pytest.raises(FormatError, match="section 'empty' overlaps"):
+            read_container(path)
+
+
+def _pairwise_overlaps(entries):
+    """Header indices j with some earlier section sharing a byte with section j."""
+    ranges = [(offset, offset + 8 * count) for _, offset, count in entries]
+    return {j for j, (start_j, stop_j) in enumerate(ranges) for start_i, stop_i in ranges[:j]
+            if start_j < stop_i and start_i < stop_j}
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 4)), min_size=1,
+                       max_size=8))
+def test_overlap_check_rejects_exactly_what_the_pairwise_check_rejects(tmp_path_factory, layout):
+    entries = [(f"s{i}", offset, count) for i, (offset, count) in enumerate(layout)]
+    path = _write_sections(tmp_path_factory.mktemp("overlap") / "blob.iemf", entries, 16)
+    overlapping = _pairwise_overlaps(entries)
+    if not overlapping:
+        sections, _ = read_container(path)
+        assert list(sections) == [name for name, _, _ in entries]
+        return
+    with pytest.raises(FormatError, match="overlaps another section") as info:
+        read_container(path)
+    # the later of an overlapping pair, in header order
+    assert int(str(info.value).split("'s")[1].split("'")[0]) in overlapping
 
 
 def test_dataset_round_trip(tmp_path):

@@ -18,10 +18,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from iemf import config
 from iemf.cli import main
 from iemf.config import from_dict
 from iemf.container import FORMAT_VERSION, MAGIC, load_checkpoint
+from iemf.data import DataSpec, generate
 from iemf.errors import ConfigError, FormatError
+from iemf.model import ModelConfig, init_model
 from iemf.util import dump_json
 
 CONFIG = {
@@ -202,6 +205,61 @@ def test_oversized_data_size_exits_2(tmp_path):
     path = _dump(tmp_path / "config.json", _swapped(CONFIG, ("data", "train_per_class"), 10**30))
     err = _assert_rejected(["generate", "--config", path, "--out", str(tmp_path / "data.iemf")])
     assert "data.train_per_class" in err
+
+
+@pytest.mark.parametrize("command", ["generate", "train"])
+@pytest.mark.parametrize("key, value, named", [
+    (("data", "train_per_class"), 10**12, "data: (train_per_class + test_per_class)"),
+    (("data", "d_v"), 10**9, "data: (train_per_class + test_per_class)"),
+    (("model", "hidden"), 10**9, "model: parameters from hidden, latent and depth"),
+    (("model", "depth"), 10**7, "model: parameters from hidden, latent and depth"),
+], ids=["train_per_class", "d_v", "hidden", "depth"])
+def test_oversized_dataset_or_model_exits_2_before_any_work(runs, tmp_path, command, key, value,
+                                                            named):
+    """Sizes int64 holds but memory does not end at load, with the keys named:
+    `generate` writes no dataset and `train` allocates no model."""
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        from_dict(_swapped(CONFIG, key, value))
+    path = _dump(tmp_path / "config.json", _swapped(CONFIG, key, value))
+    out = tmp_path / "out"
+    err = _assert_rejected([command, "--config", path, "--data", runs["data"],
+                            "--out", str(out)])
+    assert named in err and not out.exists()
+
+
+@settings(max_examples=60, deadline=None)
+@given(per_class=st.integers(1, 9), n_classes=st.integers(2, 9), d_a=st.integers(1, 9),
+       d_v=st.integers(1, 9), hidden=st.integers(1, 9), latent=st.integers(1, 9),
+       depth=st.integers(1, 5))
+def test_size_bounds_count_exactly_what_is_allocated(per_class, n_classes, d_a, d_v, hidden,
+                                                     latent, depth):
+    """The bounded counts are the input values `generate` draws and the
+    parameters `init_model` creates."""
+    spec = DataSpec(n_classes=n_classes, d_a=d_a, d_v=d_v, train_per_class=per_class,
+                    test_per_class=2)
+    ds = generate(spec)
+    assert config._dataset_values(spec) == sum(
+        split.x_a.size + split.x_v.size for split in (ds.train, ds.test))
+    model = ModelConfig(d_in_a=d_a, d_in_v=d_v, n_classes=n_classes, hidden=hidden,
+                        latent=latent, depth=depth)
+    assert config._parameter_count(model) == sum(
+        arr.size for arr in init_model(model, 0).params.values())
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 43.7 TiB for an array", "(Unable to allocate 43.7 TiB for an array)"),
+    ("", "(allocation failed)"),
+])
+def test_memory_error_exits_2_with_one_line(monkeypatch, tmp_path, message, shown):
+    """A size under the bounds that still exceeds the machine ends as a
+    validation failure, not a traceback."""
+    def no_memory(spec):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("iemf.data.generate", no_memory)
+    err = _assert_rejected(["generate", "--config", _dump(tmp_path / "config.json", CONFIG),
+                            "--out", str(tmp_path / "data.iemf")])
+    assert err == f"error: out of memory {shown}\n"
 
 
 @pytest.mark.parametrize("key", ["seed", "data.seed", "optim.seed"])

@@ -17,7 +17,6 @@ BENCH_ONLY = {
     ("continual", "iemf_coefficient"),
     ("continual", "per_sample_content"),
     ("continual", "sgd_step"),
-    ("training", "forward_full"),
 }
 
 

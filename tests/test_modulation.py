@@ -126,6 +126,14 @@ def test_coefficient_degenerate_batch_warns_and_returns_gamma(caplog):
     assert any("degenerate" in rec.message for rec in caplog.records)
 
 
+def test_coefficient_at_exactly_eps_div_is_degenerate():
+    """The fallback covers s_multimodal == EPS_DIV itself; just above it the
+    ratio is used, and a large unimodal score drives xi to its floor."""
+    cfg = IEMFConfig(gamma=1.5)
+    assert iemf_coefficient(0.5, EPS_DIV, cfg) == 1.5
+    assert iemf_coefficient(0.5, EPS_DIV * (1 + 1e-15), cfg) < 0.1
+
+
 def test_coefficient_bounds_10000_random_triples():
     rng = np.random.default_rng(0)
     gammas = np.array([0.1, 0.5, 1.0, 2.0, 5.0])

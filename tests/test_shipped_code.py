@@ -28,7 +28,6 @@ SRC = Path(iemf.__file__).resolve().parent
 # (module, name) pairs defined at module level that nothing in the package reads
 UNREAD = {
     ("model", "lif_step"): "`bench/spans.py` wraps it by name",
-    ("analysis", "hessian_eigens"): "kept until a matrix-free curvature estimate replaces it",
 }
 
 

@@ -549,12 +549,68 @@ def test_linear_rule_skips_only_the_unneeded_input_gradient(steps, rows):
 
 
 def test_register_op_rejects_a_backward_rule_without_needs():
+    def flops(out, ins, aux):
+        return 0
+
     with pytest.raises(ContractError, match="'old_style'"):
-        T.register_op("old_style", lambda ins, aux: ins[0], lambda g, out, ins, aux: [g])
+        T.register_op("old_style", lambda ins, aux: ins[0], lambda g, out, ins, aux: [g], flops)
     assert "old_style" not in T._OPS
     with pytest.raises(ContractError, match="'old_saving'"):
         T.register_op("old_saving", lambda ins, aux: (ins[0], None),
-                      lambda g, out, ins, aux, needs: [g], saves=True)
+                      lambda g, out, ins, aux, needs: [g], flops, saves=True)
+
+
+def test_register_op_rejects_a_flops_rule_of_the_wrong_arity():
+    def backward_rule(g, out, ins, aux, needs):
+        return [g]
+
+    with pytest.raises(ContractError, match=r"flops rule of 'no_aux' must take \(out_value"):
+        T.register_op("no_aux", lambda ins, aux: ins[0], backward_rule, lambda out, ins: 0)
+    with pytest.raises(ContractError, match="flops rule of 'with_grad'"):
+        T.register_op("with_grad", lambda ins, aux: ins[0], backward_rule,
+                      lambda g, out, ins, aux: 0)
+    assert "no_aux" not in T._OPS and "with_grad" not in T._OPS
+
+
+def _one_node_of_each_kind():
+    """One recorded node per registered op kind at B=3 rows, C=4 columns, and
+    its FLOPs by the documented rule."""
+    rng = np.random.default_rng(3)
+    tape = Tape()
+    x, y = tape.leaf(rng.standard_normal((3, 4))), tape.leaf(rng.standard_normal((3, 4)))
+    w, bias = tape.leaf(rng.standard_normal((5, 4))), tape.leaf(rng.standard_normal(5))
+    stacked = tape.leaf(rng.standard_normal((6, 4)))
+    lif = LIFParams(t_steps=2)
+    loss, _ = softmax_cross_entropy(x, [0, 1, 3])
+    cases = [
+        (T.add(x, y), 12),
+        (T.smul(x, 2.0), 12),
+        (T.linear(stacked, w, bias, 2), 2 * 6 * 4 * 5 + 6 * 5),
+        (T.step_mean(stacked, 2), 24),
+        (T.concat_cols(x, y), 0),
+        (T.select_cols(x, [0, 2, 2]), 0),
+        (loss, 4 * 3 * 4 + 3 * 3),
+        (T.distill_kl(x, y, 2.0), 16 * 3 * 4 + 3 * 3),
+        (relu(x), 12),
+        (lif_layer(x, lif), 5 * 6 * 4),
+        (R.matmul(x, R.transpose(w)), 2 * 3 * 4 * 5),
+        (R.transpose(x), 0),
+        (R.add_bias(x, tape.leaf(np.ones(4))), 12),
+        (R.mul(x, y), 12),
+        (R.sum_all(x), 12),
+    ]
+    return tape, cases
+
+
+def test_every_registered_op_kind_has_its_documented_flops_rule():
+    tape, cases = _one_node_of_each_kind()
+    kinds = {tape.nodes[t.node].op for t, _ in cases}
+    assert kinds == set(T._OPS)
+    for t, want in cases:
+        node = tape.nodes[t.node]
+        ins = [tape.nodes[i].value for i in node.inputs]
+        assert T._OPS[node.op].flops(node.value, ins, node.aux) == want, node.op
+    assert tape.flops() == sum(want for _, want in cases)
 
 
 def test_determinism_bit_identical():
