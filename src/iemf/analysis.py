@@ -16,7 +16,6 @@ efficiency metric.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -46,16 +45,6 @@ from .util import (
 # parameter flattening and model objectives
 
 
-def param_spans(model: MultimodalModel) -> list[tuple[str, int, int, tuple[int, ...]]]:
-    """(param id, start, stop, shape) for a flat parameter vector."""
-    spans = []
-    offset = 0
-    for pid, arr in model.params.items():
-        spans.append((pid, offset, offset + arr.size, arr.shape))
-        offset += arr.size
-    return spans
-
-
 def _as_batch(data) -> Batch:
     return data.train if hasattr(data, "train") else data
 
@@ -65,9 +54,9 @@ def _fusion_spans(spans):
 
 
 def _checked_point(w) -> np.ndarray:
-    """An evaluation point as one float64 vector, checked for finiteness once;
-    the parameters sliced from it are bound unchecked."""
-    w = np.asarray(w, dtype=np.float64)
+    """An evaluation point as a new float64 vector, checked for finiteness
+    once; the parameters sliced from it are bound unchecked."""
+    w = np.array(w, dtype=np.float64)
     if not np.isfinite(w).all():
         raise NumericError("non-finite values in the evaluation point")
     return w
@@ -77,10 +66,10 @@ def model_objective(model: MultimodalModel, data):
     """(loss_fn, grad_fn, w0, spans) for the full training objective on a batch.
 
     Works on an internal clone, so the caller's model is never touched, and
-    evaluates each point on its own shallow copy of that clone with fresh
-    parameter arrays, so no evaluation writes into the clone. The gradient
-    treats the loss as one scalar function of all parameters (probe
-    detachment is lifted): detached heads make the training gradient field
+    evaluates each point on a model of that clone's layout holding a copy of
+    the point, so no evaluation writes into the clone. The gradient treats
+    the loss as one scalar function of all parameters (probe detachment is
+    lifted): detached heads make the training gradient field
     non-conservative, which would break Hessian symmetry and exact ascent.
     The loss values themselves are identical either way.
 
@@ -101,17 +90,12 @@ def model_objective(model: MultimodalModel, data):
     batch = _as_batch(data)
     work = model.clone()
     work.cfg = replace(work.cfg, head_mode="joint")
-    spans = param_spans(work)
-    w0 = np.concatenate([work.params[pid].reshape(-1) for pid, _, _, _ in spans])
+    spans, w0 = work.spans, work.flat.copy()
     fusion = _fusion_spans(spans)
     fixed = {}
 
     def at(w: np.ndarray) -> MultimodalModel:
-        w = _checked_point(w)
-        point = copy.copy(work)
-        point.params = {pid: w[start:stop].reshape(shape).copy()
-                        for pid, start, stop, shape in spans}
-        return point
+        return work.holding(_checked_point(w))
 
     def fusion_loss(ws: np.ndarray, tape: Tape | None, block: str):
         if block != "fusion":
@@ -124,7 +108,7 @@ def model_objective(model: MultimodalModel, data):
             fixed.update(cat=T.concat_cols(*latents), head=head_loss_share(*heads, work.cfg))
         ws, leaves, offset = _checked_point(ws), {}, 0
         for pid, start, stop, shape in fusion:
-            leaf = Tensor._checked(ws[offset:offset + stop - start].reshape(shape).copy())
+            leaf = Tensor._checked(ws[offset:offset + stop - start].reshape(shape))
             leaves[pid] = leaf if tape is None else tape.leaf(leaf, param_id=pid)
             offset += stop - start
         loss_av, _ = softmax_cross_entropy(fused_logits(fixed["cat"], work, leaves), batch.y)

@@ -34,6 +34,10 @@ class Section:
     count: int
     offset: int
 
+    def decode(self, payload: bytes) -> np.ndarray:
+        arr = np.frombuffer(payload, dtype="<f8", count=self.count, offset=self.offset)
+        return arr.astype(np.float64).reshape(self.shape)
+
 
 @dataclass
 class Header:
@@ -47,6 +51,23 @@ def _build(cls, raw, where: str):
         return build(cls, raw, where)
     except ConfigError as exc:
         raise FormatError(str(exc)) from exc
+
+
+def _header(raw, where: str) -> Header:
+    """`_build(Header, raw, where)` in plain type tests; what fails one, `_build` words."""
+    if not (isinstance(raw, dict) and raw.keys() <= {"meta", "sections"}):
+        return _build(Header, raw, where)  # raises before it reads a section
+    for key, value in raw.items():  # in the order `_build` checks them
+        if key == "meta" or not isinstance(value, list):
+            _build(Header, {key: value}, where)
+            continue
+        for i, entry in enumerate(value):
+            if not (type(entry) is dict and entry.keys() == {"name", "shape", "count", "offset"}
+                    and type(entry["name"]) is str and type(entry["shape"]) is list
+                    and all(type(v) is int and -2**63 <= v < 2**63  # a bool is not an int
+                            for v in (*entry["shape"], entry["count"], entry["offset"]))):
+                _build(Section, entry, f"{where}.sections[{i}]")
+    return Header(raw.get("meta", {}), [Section(**entry) for entry in raw.get("sections", [])])
 
 
 def write_container(path: str, sections: dict[str, np.ndarray], meta: dict) -> None:
@@ -64,7 +85,8 @@ def write_container(path: str, sections: dict[str, np.ndarray], meta: dict) -> N
     atomic_write_bytes(path, blob + header + bytes(payload))
 
 
-def read_container(path: str) -> tuple[dict[str, np.ndarray], dict]:
+def _read_header(path: str) -> tuple[Header, bytes]:
+    """The checked header of the container at `path`, and its payload."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16 or blob[:4] != MAGIC:
@@ -79,7 +101,7 @@ def read_container(path: str) -> tuple[dict[str, np.ndarray], dict]:
         raw = json.loads(blob[16 : 16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: malformed header ({exc})") from exc
-    header = _build(Header, raw, f"{path}: header")
+    header = _header(raw, f"{path}: header")
     payload = blob[16 + header_len :]
     names: set[str] = set()
     for entry in header.sections:
@@ -94,11 +116,7 @@ def read_container(path: str) -> tuple[dict[str, np.ndarray], dict]:
         if offset < 0 or offset + count * 8 > len(payload):
             raise FormatError(f"{path}: section {name!r} exceeds the payload")
     _check_no_overlap(path, header.sections)
-    sections = {}
-    for entry in header.sections:
-        arr = np.frombuffer(payload, dtype="<f8", count=entry.count, offset=entry.offset)
-        sections[entry.name] = arr.astype(np.float64).reshape(entry.shape)
-    return sections, header.meta
+    return header, payload
 
 
 def _check_no_overlap(path: str, entries: list[Section]) -> None:
@@ -114,10 +132,6 @@ def _check_no_overlap(path: str, entries: list[Section]) -> None:
                               "section")
 
 
-def _labels_to_f64(y: np.ndarray) -> np.ndarray:
-    return np.asarray(y, dtype=np.float64)
-
-
 def _labels_from_f64(arr: np.ndarray, path: str) -> np.ndarray:
     rounded = np.rint(arr)
     if not np.array_equal(rounded, arr):
@@ -129,20 +143,21 @@ def save_dataset(path: str, dataset: Dataset) -> None:
     sections = {
         "train/x_a": dataset.train.x_a.data,
         "train/x_v": dataset.train.x_v.data,
-        "train/y": _labels_to_f64(dataset.train.y),
+        "train/y": np.asarray(dataset.train.y, dtype=np.float64),
         "test/x_a": dataset.test.x_a.data,
         "test/x_v": dataset.test.x_v.data,
-        "test/y": _labels_to_f64(dataset.test.y),
+        "test/y": np.asarray(dataset.test.y, dtype=np.float64),
     }
     write_container(path, sections, {"kind": "dataset", "spec": asdict(dataset.spec)})
 
 
 def load_dataset(path: str) -> Dataset:
-    sections, meta = read_container(path)
-    if meta.get("kind") != "dataset":
+    header, payload = _read_header(path)
+    if header.meta.get("kind") != "dataset":
         raise FormatError(f"{path}: container does not hold a dataset")
+    spec = _build(DataSpec, header.meta.get("spec"), f"{path}: dataset spec")
+    sections = {entry.name: entry.decode(payload) for entry in header.sections}
     try:
-        spec = _build(DataSpec, meta.get("spec"), f"{path}: dataset spec")
         train = Batch(Tensor(sections["train/x_a"]), Tensor(sections["train/x_v"]),
                       _labels_from_f64(sections["train/y"], path))
         test = Batch(Tensor(sections["test/x_a"]), Tensor(sections["test/x_v"]),
@@ -159,15 +174,15 @@ def save_checkpoint(path: str, model: MultimodalModel) -> None:
 
 
 def load_checkpoint(path: str) -> MultimodalModel:
-    sections, meta = read_container(path)
-    if meta.get("kind") != "checkpoint":
+    header, payload = _read_header(path)
+    if header.meta.get("kind") != "checkpoint":
         raise FormatError(f"{path}: container does not hold a checkpoint")
-    cfg = _build(ModelConfig, meta.get("model"), f"{path}: checkpoint model")
-    params = {name[len("param/"):]: arr for name, arr in sections.items()
-              if name.startswith("param/")}
+    cfg = _build(ModelConfig, header.meta.get("model"), f"{path}: checkpoint model")
+    params = {entry.name[len("param/"):]: entry.decode(payload) for entry in header.sections
+              if entry.name.startswith("param/")}
     expected = param_shapes(cfg)
     wrong = sorted(pid for pid in expected.keys() | params.keys()
                    if pid not in params or expected.get(pid) != params[pid].shape)
     if wrong:
         raise FormatError(f"{path}: parameters {wrong} do not match the checkpoint's model config")
-    return MultimodalModel(cfg, params)
+    return MultimodalModel(cfg, {pid: params[pid] for pid in expected})

@@ -112,14 +112,32 @@ class ForwardOutputs:
 
 
 class MultimodalModel:
-    """Parameter store for the two encoders, fusion layer, and probe heads."""
+    """Parameter store for the two encoders, fusion layer, and probe heads.
+
+    The parameters are views of one float64 vector, `flat`, laid out by `spans`
+    (id, start, stop, shape) in the order given; `params`, id to view, is
+    read-only, so values are written in place.
+    """
 
     def __init__(self, cfg: ModelConfig, params: dict[str, np.ndarray]):
-        self.cfg = cfg
-        self.params = {k: np.ascontiguousarray(np.asarray(v, dtype=np.float64)) for k, v in params.items()}
-        for pid, arr in self.params.items():
-            if not np.all(np.isfinite(arr)):
-                raise ConfigError(f"parameter {pid} holds non-finite values")
+        arrays = [np.asarray(v, dtype=np.float64) for v in params.values()]
+        stops = np.cumsum([arr.size for arr in arrays]).tolist()
+        self.cfg, self.spans = cfg, tuple((pid, stop - arr.size, stop, arr.shape)
+                                          for pid, arr, stop in zip(params, arrays, stops))
+        twin = self.holding(np.concatenate(arrays, axis=None))
+        self.flat, self.params = twin.flat, twin.params
+        if not np.isfinite(self.flat).all():
+            bad = next(pid for pid, arr in self.params.items() if not np.isfinite(arr).all())
+            raise ConfigError(f"parameter {bad} holds non-finite values")
+
+    def holding(self, flat: np.ndarray) -> "MultimodalModel":
+        """A model of this config and layout on `flat`, neither copied nor checked."""
+        from types import MappingProxyType  # here, so that `import iemf` does no new work
+        twin = object.__new__(MultimodalModel)
+        twin.cfg, twin.spans, twin.flat = self.cfg, self.spans, flat
+        twin.params = MappingProxyType({pid: flat[start:stop].reshape(shape)
+                                        for pid, start, stop, shape in self.spans})
+        return twin
 
     def encoder_param_ids(self, modality: str) -> list[tuple[str, str]]:
         n_layers = self.cfg.depth
@@ -130,7 +148,7 @@ class MultimodalModel:
         return param_id.split(".")[0]
 
     def clone(self) -> "MultimodalModel":
-        return MultimodalModel(self.cfg, {k: v.copy() for k, v in self.params.items()})
+        return self.holding(self.flat.copy())
 
 
 def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -165,11 +183,11 @@ def bind_params(model: MultimodalModel, tape: Tape | None) -> dict[str, Tensor]:
     The arrays are wrapped without a finiteness check: every parameter is
     checked where it is written, by `MultimodalModel`, `training.sgd_step`
     and `analysis.model_objective`'s evaluation points. A non-finite value
-    written into `model.params` directly fails at the first op that reads it.
+    written into a `model.params` view fails at the first op that reads it.
     """
     if tape is None:
         return {pid: Tensor._checked(arr) for pid, arr in model.params.items()}
-    return {pid: tape.leaf(Tensor._checked(arr), param_id=pid) for pid, arr in model.params.items()}
+    return {pid: tape.checked_leaf(arr, pid) for pid, arr in model.params.items()}
 
 
 def _encode(x: Tensor, layers: list[tuple[Tensor, Tensor]], cfg: ModelConfig) -> Tensor:

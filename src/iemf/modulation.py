@@ -76,10 +76,11 @@ def per_sample_content(probs: np.ndarray, labels) -> np.ndarray:
     # 1e-5, and NaN or infinite sums fail the comparison
     if not (np.abs(probs.sum(axis=1) - 1.0) <= 1e-9 + 1e-5).all():
         raise ContractError("probability rows must sum to 1")
-    y = np.asarray(labels, dtype=np.int64).reshape(-1)
+    int64 = type(labels) is np.ndarray and labels.dtype == np.int64 and labels.ndim == 1
+    y = labels if int64 else np.asarray(labels, dtype=np.int64).reshape(-1)
     if y.shape[0] != probs.shape[0]:
         raise ContractError(f"expected {probs.shape[0]} labels, got {y.shape[0]}")
-    if y.min() < 0 or y.max() >= probs.shape[1]:
+    if ((y < 0) | (y >= probs.shape[1])).any():
         raise IndexError("label out of range")
     return probs[np.arange(probs.shape[0]), y]
 
@@ -93,7 +94,7 @@ def batch_strength_scores(c_a: np.ndarray, c_v: np.ndarray,
     if a.shape[0] < 1:
         raise ContractError("strength scores need a non-empty batch")
     s_unimodal = float((a + v).sum() / (2.0 * a.shape[0]))
-    s_multimodal = float(av.mean())
+    s_multimodal = float(av.sum() / av.shape[0])  # np.mean's own division
     return s_unimodal, s_multimodal
 
 

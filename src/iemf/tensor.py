@@ -15,22 +15,24 @@ is exact in any order, so the values are those of the row-wise form.
 A `Tensor` is only what an op records or reads: results that leave the tape,
 those probabilities and the gradients `backward` returns, are numpy arrays.
 
-Every value is checked for finiteness once: op outputs in `_apply`, raw
-arrays where they enter through `Tensor(...)` or `Tape.leaf`, and parameter
-gradients at the end of `backward`, as one vector. Arrays that already passed
-are wrapped without a second check. Model parameters are such arrays: they
-are checked where they are written (`MultimodalModel`, `sgd_step`, the
-evaluation points of `analysis.model_objective`) and bound unchecked, so a
-non-finite value written into a model some other way fails at the first op
-that reads it.
+Every value is checked for finiteness once: op outputs in `_run` (scalars by
+`math.isfinite`), raw arrays where they enter through `Tensor(...)` or
+`Tape.leaf`, and parameter gradients at the end of `backward`, as one vector;
+a softmax, e / s with e in [0, 1] and s >= 1, is finite by construction.
+Arrays that already passed are wrapped without a second check. Model
+parameters are such arrays: checked where they are written (`MultimodalModel`,
+`sgd_step`, the evaluation points of `analysis.model_objective`) and bound
+unchecked, so a non-finite value written into a model some other way fails at
+the first op that reads it.
 
-`backward` computes only what some parameter reads. Once per call it flags
-the nodes whose gradient can reach a parameter leaf (a non-parameter leaf
-never can), visits only those, and hands each rule its inputs' flags, as
-PyTorch autograd hands a function `needs_input_grad`. `linear` uses them to
-skip the input gradient of a batch input, a detached latent or a cached
-constant. A non-parameter leaf is the tape's only gradient stop: `detach`
-returns an untraced constant, which the next op lifts as such a leaf.
+`backward` computes only what some parameter reads. Each node is flagged
+when it is recorded if its gradient can reach a parameter leaf (a
+non-parameter leaf's never can); `backward` visits only flagged nodes and
+hands each rule its inputs' flags, as PyTorch autograd hands a function
+`needs_input_grad`. `linear` uses them to skip the input gradient of a batch
+input, a detached latent or a cached constant. A non-parameter leaf is the
+tape's only gradient stop: `detach` returns an untraced constant, which the
+next op lifts as such a leaf.
 
 Shape rules are deliberately narrow: the only broadcast is the bias-row add
 in the fused affine map `linear`.
@@ -47,6 +49,7 @@ sums the rules over the ops a pass recorded (see `training.forward_flops`).
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -64,7 +67,7 @@ def _as_array(data) -> Array:
 
 
 def _require_finite(arr: Array, where: str) -> None:
-    if not np.isfinite(arr).all():
+    if not (math.isfinite(arr) if arr.ndim == 0 else np.isfinite(arr).all()):
         raise NumericError(f"non-finite values produced by {where}")
 
 
@@ -109,7 +112,7 @@ class Tensor:
         return f"Tensor(shape={self.shape}, {where})"
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     op: str
     inputs: tuple[int, ...]
@@ -117,6 +120,7 @@ class Node:
     aux: Any = None
     param_id: str | None = None
     saved: Any = None
+    needs: bool = False  # whether its gradient can reach a parameter leaf
 
 
 # forward(input_values, aux) -> value, a C-contiguous float64 array, or
@@ -173,9 +177,12 @@ class Tape:
         return len(self.nodes)
 
     def leaf(self, data, param_id: str | None = None) -> Tensor:
-        arr = (data if isinstance(data, Tensor) else Tensor(data)).data
+        return self.checked_leaf(as_tensor(data).data, param_id)
+
+    def checked_leaf(self, arr: Array, param_id: str | None = None) -> Tensor:
+        """`leaf` of an array that already passed the finiteness check."""
         nid = len(self.nodes)
-        self.nodes.append(Node("leaf", (), arr, None, param_id))
+        self.nodes.append(Node("leaf", (), arr, None, param_id, None, param_id is not None))
         return Tensor._checked(arr, self, nid)
 
     def flops(self) -> int:
@@ -196,13 +203,10 @@ def _record(op: str, operands: Sequence[Tensor], value: Array, aux: Any = None,
                 raise ContractError("operands were recorded on different tapes")
     if tape is None:
         return Tensor._checked(value)
-    ids = tuple(
-        # a constant becomes a leaf, so `backward` reads it as an input value
-        t.node if t.tape is tape else tape.leaf(t).node
-        for t in operands
-    )
-    nid = len(tape.nodes)
-    tape.nodes.append(Node(op, ids, value, aux, None, saved))
+    # a constant becomes a leaf, so `backward` reads it as an input value
+    ids = tuple([t.node if t.tape is tape else tape.checked_leaf(t.data).node for t in operands])
+    nodes, nid = tape.nodes, len(tape.nodes)
+    nodes.append(Node(op, ids, value, aux, None, saved, any([nodes[i].needs for i in ids])))
     return Tensor._checked(value, tape, nid)
 
 
@@ -302,8 +306,10 @@ def detach(a: Tensor) -> Tensor:
 
 
 def _check_labels(labels, n_rows: int, n_classes: int) -> Array:
-    """Labels as one int64 array; non-integer values truncate as `int()` does."""
-    y = np.asarray(labels).reshape(-1)
+    """Labels as one int64 array (a 1-D int64 one as it is); non-integer values
+    truncate as `int()` does."""
+    int64 = type(labels) is np.ndarray and labels.dtype == np.int64 and labels.ndim == 1
+    y = labels if int64 else np.asarray(labels).reshape(-1)
     if y.dtype.kind == "f":
         y = np.trunc(y)
         bad = ~np.isfinite(y)
@@ -316,7 +322,7 @@ def _check_labels(labels, n_rows: int, n_classes: int) -> Array:
     bad = (y < 0) | (y >= n_classes)
     if bad.any():
         raise IndexError(f"label {int(y[bad][0])} out of range for {n_classes} classes")
-    return np.array(y, dtype=np.int64)
+    return y if int64 else np.array(y, dtype=np.int64)
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> tuple[Tensor, Array]:
@@ -332,7 +338,6 @@ def softmax_cross_entropy(logits: Tensor, labels) -> tuple[Tensor, Array]:
         raise ShapeError(f"cross entropy needs a non-empty (B,M) tensor, got {logits.shape}")
     labels = _check_labels(labels, logits.shape[0], logits.shape[1])
     loss, probs = _run("softmax_xent", (logits,), labels)
-    _require_finite(probs, "softmax_xent probabilities")
     return _record("softmax_xent", (logits,), loss, labels, probs), probs
 
 
@@ -374,7 +379,7 @@ def _fwd_softmax_xent(ins, labels):
     """FLOPs: max-shift, exp, sum and normalise per logit; pick, log and mean per row."""
     shifted, e, s = _softmax_parts(ins[0])
     picked = shifted[np.arange(shifted.shape[0]), labels] - np.log(s)[:, 0]
-    return np.asarray(-picked.mean()), e / s
+    return np.asarray(-(picked.sum() / picked.shape[0])), e / s
 
 
 def _fwd_distill_kl(ins, temperature):
@@ -488,37 +493,32 @@ register_op("distill_kl", _fwd_distill_kl, _bwd_distill_kl,
 def backward(tape: Tape, seed: Tensor) -> dict[str, Array]:
     """Accumulate d(seed)/d(param) for every parameter leaf on the tape.
 
-    The seed must be a scalar node of this tape. First, in tape order, each
-    node up to the seed gets a needs-gradient flag: a parameter leaf needs
-    one, a non-parameter leaf (a constant, or a detached value) needs none,
-    and any other node needs one if any of its inputs does. The reverse pass
-    then visits only flagged nodes, hands each rule its inputs' flags, and
-    accumulates only flagged inputs' gradients; parameter leaves the seed
-    does not depend on get zero gradients. Returns one array per parameter id, shaped like
-    its parameter: views into one vector, in leaf order, checked once.
+    The seed must be a scalar node of this tape. Each node carries the
+    needs-gradient flag it was recorded with: a parameter leaf needs one, a
+    non-parameter leaf (a constant, or a detached value) needs none, and any
+    other node needs one if any of its inputs does. The reverse pass visits
+    only flagged nodes, hands each rule its inputs' flags, and accumulates
+    only flagged inputs' gradients; parameter leaves the seed does not
+    depend on get zero gradients. Returns one array per parameter id, shaped
+    like its parameter: views into one vector, in leaf order, checked once.
     """
     if seed.tape is not tape or seed.node is None:
         raise ContractError("seed is not recorded on this tape")
     if seed.data.shape != ():
         raise ContractError(f"seed must be scalar, got shape {seed.data.shape}")
-    needs: list[bool] = []
-    for node in tape.nodes[:seed.node + 1]:
-        if node.op == "leaf":
-            needs.append(node.param_id is not None)
-        else:
-            needs.append(any([needs[i] for i in node.inputs]))
+    nodes = tape.nodes
     adjoints: list[Array | None] = [None] * (seed.node + 1)
-    if needs[seed.node]:
+    if nodes[seed.node].needs:
         adjoints[seed.node] = np.ones((), dtype=np.float64)
     for nid in range(seed.node, -1, -1):
         out_grad = adjoints[nid]
         if out_grad is None:  # needs no gradient, or the seed does not depend on it
             continue
-        node = tape.nodes[nid]
+        node = nodes[nid]
         if node.op == "leaf":
             continue
-        in_values = [tape.nodes[i].value for i in node.inputs]
-        in_needs = [needs[i] for i in node.inputs]
+        in_values = [nodes[i].value for i in node.inputs]
+        in_needs = [nodes[i].needs for i in node.inputs]
         rule = _OPS[node.op]
         if rule.saves:
             in_grads = rule.backward(out_grad, node.value, in_values, node.aux, in_needs,
@@ -532,7 +532,7 @@ def backward(tape: Tape, seed: Tensor) -> dict[str, Array]:
             adjoints[iid] = g if adjoints[iid] is None else adjoints[iid] + g
     params = [(nid, node) for nid, node in enumerate(tape.nodes)
               if node.op == "leaf" and node.param_id is not None]
-    flat = np.empty(sum(node.value.size for _, node in params))
+    flat = np.empty(sum([node.value.size for _, node in params]))
     grads: dict[str, Array] = {}
     offset = 0
     for nid, node in params:

@@ -52,7 +52,7 @@ class EpochMetrics:
     flops_cumulative: int
 
 
-@dataclass
+@dataclass(slots=True)  # one per training step, kept for the whole run
 class XiRecord:
     step: int
     epoch: int
@@ -71,18 +71,31 @@ def top1_accuracy(logits, labels) -> float:
         raise ShapeError(f"expected {arr.shape[0]} labels, got {y.shape[0]}")
     if arr.shape[0] == 0:
         return 0.0
-    return float(np.mean(arr.argmax(axis=-1) == y))
+    return float((arr.argmax(axis=-1) == y).sum() / arr.shape[0])  # np.mean's own division
 
 
-def _group_lr(group: str, cfg: OptimConfig, xi: float) -> float:
-    if group == "fusion":
-        return cfg.eta * xi
-    if cfg.method == "mslr":
-        if group == "enc_a":
-            return cfg.eta * cfg.mult_a
-        if group == "enc_v":
-            return cfg.eta * cfg.mult_v
-    return cfg.eta * 1.0
+# (key, lr, wd, fusion runs) of the last layout and settings `sgd_step` met: one
+# entry, replaced whole and never written in place, however many models train.
+_last_rates: list = [(None,)]
+
+
+def _element_rates(model: MultimodalModel, cfg: OptimConfig, xi: float):
+    """Learning rate and weight decay per element of `model.flat`, eta * xi on the fusion runs."""
+    key = (model.spans, cfg.eta, cfg.method, cfg.mult_a, cfg.mult_v, cfg.weight_decay)
+    entry = _last_rates[0]
+    if entry[0] != key:
+        mults = {"enc_a": cfg.mult_a, "enc_v": cfg.mult_v} if cfg.method == "mslr" else {}
+        lr, wd = np.empty(model.flat.size), np.zeros(model.flat.size)
+        for pid, start, stop, _ in model.spans:
+            lr[start:stop] = cfg.eta * mults.get(model.group_of(pid), 1.0)
+            wd[start:stop] = cfg.weight_decay if pid.endswith(".W") else 0.0
+        entry = _last_rates[0] = (key, lr, wd, [slice(start, stop) for pid, start, stop, _
+                                                in model.spans if model.group_of(pid) == "fusion"])
+    _, lr, wd, fusion = entry
+    lr = lr.copy()
+    for run in fusion:
+        lr[run] = cfg.eta * xi
+    return lr, wd
 
 
 def sgd_step(model: MultimodalModel, grads: dict[str, np.ndarray], cfg: OptimConfig,
@@ -91,32 +104,31 @@ def sgd_step(model: MultimodalModel, grads: dict[str, np.ndarray], cfg: OptimCon
 
     Encoders use eta times their modality multiplier (1 under vanilla), probe
     heads use plain eta, and weight decay applies to weight matrices only.
+    The step is one expression, w - lr * (g + wd * w), over the parameter vector
+    with per-element rates: the IEEE operations of a step per parameter, so its bits.
 
-    This is where trained parameters are checked for finiteness: each new
-    value is checked once here, and `model.bind_params` binds it unchecked.
+    This is where trained parameters are checked for finiteness: the new
+    vector is checked once here, and `model.bind_params` binds it unchecked.
     A finite new value from a finite old one implies a finite update, and the
     check also catches an overflow of the subtraction itself. Everything is
     staged and validated before the commit, so a failed step (a missing
     gradient, a non-finite gradient, eta or xi, or an overflowing update)
-    leaves the model unmodified.
+    leaves the model unmodified; it names the first parameter at fault, with
+    numpy's floating-point warnings off.
     """
-    lrs: dict[str, float] = {}
-    staged: dict[str, np.ndarray] = {}
-    for pid, w in model.params.items():
-        try:
-            g = grads[pid]
-        except KeyError:
-            raise NumericError(f"gradient set is missing {pid}; step aborted") from None
-        group = model.group_of(pid)
-        lr = lrs.get(group)
-        if lr is None:
-            lr = lrs[group] = _group_lr(group, cfg, xi)
-        wd = cfg.weight_decay if pid.endswith(".W") else 0.0
+    try:
+        g = np.concatenate([grads[pid] for pid in model.params], axis=None)
+    except KeyError as exc:
+        raise NumericError(f"gradient set is missing {exc.args[0]}; step aborted") from None
+    lr, wd = _element_rates(model, cfg, xi)
+    w = model.flat
+    with np.errstate(all="ignore"):
         new = w - lr * (g + wd * w)
-        if not np.isfinite(new).all():
-            raise NumericError(f"non-finite update for {pid}; step aborted")
-        staged[pid] = new
-    model.params.update(staged)
+    if not np.isfinite(new).all():
+        bad = next(pid for pid, start, stop, _ in model.spans
+                   if not np.isfinite(new[start:stop]).all())
+        raise NumericError(f"non-finite update for {bad}; step aborted")
+    w[...] = new
 
 
 def evaluate_accuracy(model: MultimodalModel, batch: Batch) -> float:

@@ -1,5 +1,6 @@
-"""Tape ops, a replay check, the hand-written FLOPs count of the network and
-the dense finite-difference Hessian: references that only the tests use.
+"""Tape ops, a replay check, the hand-written FLOPs count of the network, the
+dense finite-difference Hessian and the per-parameter SGD update: references
+that only the tests use.
 
 No program path records `matmul`, `transpose`, `add_bias`, `mul` or
 `sum_all`: the model runs every affine map through the fused `linear`, the
@@ -16,7 +17,7 @@ import numpy as np
 import iemf.tensor as T
 from iemf.analysis import model_objective
 from iemf.errors import ContractError, NumericError, ShapeError
-from iemf.model import ModelConfig
+from iemf.model import ModelConfig, MultimodalModel
 from iemf.tensor import Tape, Tensor, register_op
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -170,3 +171,26 @@ def hessian_eigens(model, data, h: float = 1e-4) -> np.ndarray:
     if not np.all(np.isfinite(eigenvalues)):
         raise NumericError("Hessian eigendecomposition produced non-finite values")
     return eigenvalues
+
+
+def _group_lr(group: str, cfg, xi: float) -> float:
+    if group == "fusion":
+        return cfg.eta * xi
+    if cfg.method == "mslr":
+        if group == "enc_a":
+            return cfg.eta * cfg.mult_a
+        if group == "enc_v":
+            return cfg.eta * cfg.mult_v
+    return cfg.eta * 1.0
+
+
+def per_parameter_sgd_step(params: dict, grads: dict, cfg, xi: float) -> dict:
+    """New values of `params` after one SGD step, computed a parameter at a
+    time with its group's scalar rate and decay: `training.sgd_step` as it ran
+    before it became one expression over the parameter vector."""
+    new = {}
+    for pid, w in params.items():
+        lr = _group_lr(MultimodalModel.group_of(pid), cfg, xi)
+        wd = cfg.weight_decay if pid.endswith(".W") else 0.0
+        new[pid] = w - lr * (grads[pid] + wd * w)
+    return new

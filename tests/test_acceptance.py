@@ -105,7 +105,7 @@ def _finite_difference_full(model, batch, h=1e-5):
         fd = np.zeros_like(arr)
         for idx in np.ndindex(arr.shape):
             for sign, target in ((1.0, "plus"), (-1.0, "minus")):
-                work.params[pid] = arr.copy()
+                work.params[pid][...] = arr
                 work.params[pid][idx] += sign * h
                 loss = forward_full(batch, work, tape=None).loss.item()
                 if target == "plus":
@@ -113,7 +113,7 @@ def _finite_difference_full(model, batch, h=1e-5):
                 else:
                     lm = loss
             fd[idx] = (lp - lm) / (2.0 * h)
-        work.params[pid] = arr.copy()
+        work.params[pid][...] = arr
         grads_fd[pid] = fd
     return grads_fd
 

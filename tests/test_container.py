@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from iemf.container import (
     FORMAT_VERSION,
     MAGIC,
+    _read_header,
     load_checkpoint,
     load_dataset,
-    read_container,
     save_checkpoint,
     save_dataset,
     write_container,
@@ -23,6 +23,12 @@ from iemf.data import DataSpec, generate
 from iemf.errors import FormatError
 from iemf.model import ModelConfig, forward_full, init_model
 from iemf.neurons import LIFParams
+
+
+def read_container(path):
+    """(sections, metadata) of any container: the loaders' header check and decode."""
+    header, payload = _read_header(path)
+    return {entry.name: entry.decode(payload) for entry in header.sections}, header.meta
 
 
 def test_round_trip_bit_identical(tmp_path):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import iemf.tensor as T
+from iemf.analysis import model_objective
 from iemf.config import load_config
+from iemf.container import load_checkpoint, save_checkpoint
 from iemf.errors import NumericError, ShapeError
 from iemf.model import (
     Batch,
@@ -16,10 +18,12 @@ from iemf.model import (
     forward_full,
     fused_logits,
     init_model,
+    param_shapes,
     step_latents,
 )
 from iemf.neurons import LIFParams
 from iemf.tensor import Tape, Tensor, backward
+from iemf.training import OptimConfig, sgd_step
 
 import reference_ops as R
 
@@ -58,7 +62,7 @@ def fused(z_a: Tensor, z_v: Tensor, model: MultimodalModel) -> Tensor:
 def test_zero_weights_give_zero_latents():
     model = small_model()
     for pid in model.params:
-        model.params[pid] = np.zeros_like(model.params[pid])
+        model.params[pid][...] = 0.0
     z_a, z_v = latents(fixed_batch(), model)
     assert np.array_equal(z_a.data, np.zeros((2, 4)))
     assert np.array_equal(z_v.data, np.zeros((2, 4)))
@@ -66,8 +70,8 @@ def test_zero_weights_give_zero_latents():
 
 def test_one_layer_identity_encoder_passes_input_through():
     model = init_model(ModelConfig(d_in_a=4, d_in_v=4, n_classes=2, latent=4, depth=1), 0)
-    model.params["enc_a.0.W"] = np.eye(4)
-    model.params["enc_a.0.b"] = np.zeros(4)
+    model.params["enc_a.0.W"][...] = np.eye(4)
+    model.params["enc_a.0.b"][...] = 0.0
     batch = Batch(Tensor(np.arange(8, dtype=float).reshape(2, 4) - 3.0),
                   Tensor(np.zeros((2, 4))), [0, 1])
     z_a, _ = latents(batch, model)
@@ -82,16 +86,16 @@ def test_encode_golden_fixture():
 
 def test_fuse_concat_constant_bias():
     model = small_model()
-    model.params["fusion.W"] = np.zeros_like(model.params["fusion.W"])
-    model.params["fusion.b"] = np.full(3, 1.5)
+    model.params["fusion.W"][...] = 0.0
+    model.params["fusion.b"][...] = 1.5
     logits = fused(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))), model)
     assert np.array_equal(logits.data, np.full((2, 3), 1.5))
 
 
 def test_fuse_concat_projection_block():
     model = init_model(ModelConfig(d_in_a=4, d_in_v=4, n_classes=4, latent=4), 0)
-    model.params["fusion.W"] = np.concatenate([np.eye(4), np.zeros((4, 4))], axis=1)
-    model.params["fusion.b"] = np.zeros(4)
+    model.params["fusion.W"][...] = np.concatenate([np.eye(4), np.zeros((4, 4))], axis=1)
+    model.params["fusion.b"][...] = 0.0
     z_a = Tensor(np.arange(8, dtype=float).reshape(2, 4))
     logits = fused(z_a, Tensor(np.ones((2, 4))), model)
     assert np.array_equal(logits.data, z_a.data)
@@ -99,8 +103,8 @@ def test_fuse_concat_projection_block():
 
 def test_fuse_concat_hand_case():
     model = init_model(ModelConfig(d_in_a=2, d_in_v=2, n_classes=2, latent=2), 0)
-    model.params["fusion.W"] = np.array([[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
-    model.params["fusion.b"] = np.array([0.5, 0.0])
+    model.params["fusion.W"][...] = [[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]]
+    model.params["fusion.b"][...] = [0.5, 0.0]
     logits = fused(Tensor([[1.0, 0.0]]), Tensor([[0.0, 2.0]]), model)
     assert logits.data[0, 0] == 3.5
 
@@ -114,7 +118,7 @@ def test_fuse_concat_width_mismatch():
 def test_forward_symmetric_model_gives_uniform_fused_probs():
     model = init_model(ModelConfig(d_in_a=2, d_in_v=2, n_classes=2, latent=2, depth=1), 0)
     for pid in model.params:
-        model.params[pid] = np.ones_like(model.params[pid]) * 0.3
+        model.params[pid][...] = 0.3
     batch = Batch(Tensor([[1.0, 1.0]]), Tensor([[1.0, 1.0]]), [0])
     out = forward_full(batch, model)
     assert np.allclose(out.p_av, [[0.5, 0.5]], atol=1e-15)
@@ -230,6 +234,65 @@ def test_clone_is_independent():
     twin = model.clone()
     twin.params["fusion.W"][0, 0] += 1.0
     assert model.params["fusion.W"][0, 0] != twin.params["fusion.W"][0, 0]
+    assert not np.shares_memory(model.flat, twin.flat)
+
+
+def test_params_are_views_of_one_vector_in_param_shapes_order():
+    model = small_model()
+    assert [pid for pid, _, _, _ in model.spans] == list(param_shapes(model.cfg))
+    for pid, start, stop, shape in model.spans:
+        assert model.params[pid].shape == shape
+        assert np.shares_memory(model.params[pid], model.flat[start:stop])
+    assert model.spans[-1][2] == model.flat.size
+
+
+def test_assigning_into_params_raises():
+    model = small_model()
+    with pytest.raises(TypeError):
+        model.params["fusion.b"] = np.zeros(3)
+    with pytest.raises(TypeError):
+        del model.params["fusion.b"]
+
+
+def test_an_in_place_write_reaches_the_next_forward_pass_and_sgd_step():
+    model = small_model()
+    model.params["fusion.W"][...] = 0.0
+    model.params["fusion.b"][...] = [0.5, -0.25, 2.0]
+    logits = forward_full(fixed_batch(), model).logits_av.data
+    assert np.array_equal(logits, np.tile([0.5, -0.25, 2.0], (2, 1)))
+    grads = {pid: np.ones_like(arr) for pid, arr in model.params.items()}
+    sgd_step(model, grads, OptimConfig(eta=0.5, weight_decay=0.0), xi=1.0)
+    assert np.array_equal(model.params["fusion.b"], [0.0, -0.75, 1.5])
+
+
+def test_model_objective_points_share_no_memory_with_their_source(monkeypatch):
+    model = small_model()
+    held = []
+    holding = MultimodalModel.holding
+    monkeypatch.setattr(MultimodalModel, "holding",
+                        lambda self, flat: held.append(flat) or holding(self, flat))
+    loss_fn, grad_fn, w0, _ = model_objective(model, fixed_batch())
+    w = w0 + 0.01
+    grad_fn(w)
+    loss_fn(w)
+    loss_fn(w0)
+    work, points = held[0], held[1:]  # the objective's clone, then one vector per point
+    assert len(points) == 2  # the loss at the gradient's point reuses its forward pass
+    for vector in (w0, work, *points):
+        assert not np.shares_memory(vector, model.flat)
+    for vector in points:
+        assert not any(np.shares_memory(vector, other) for other in (w, w0, work))
+
+
+def test_checkpoint_round_trip_keeps_the_parameter_vector(tmp_path):
+    model = small_model()
+    sgd_step(model, {pid: np.full_like(arr, 0.1) for pid, arr in model.params.items()},
+             OptimConfig(eta=0.3), xi=1.2)
+    path = str(tmp_path / "model.iemf")
+    save_checkpoint(path, model)
+    loaded = load_checkpoint(path)
+    assert loaded.spans == model.spans
+    assert loaded.flat.tobytes() == model.flat.tobytes()
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"

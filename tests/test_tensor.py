@@ -466,6 +466,31 @@ def test_kept_softmax_criteria_equal_the_three_softmax_code(b, m, kind, temperat
         assert want is not None and got == want
 
 
+MIXED_LOGITS = np.random.default_rng(3).choice([-1.7e308, -1.0, 0.0, 2.0, 1.7e308], size=(16, 5))
+
+
+@pytest.mark.parametrize("logits", [
+    [[1.7e308, 1.7e308], [-1.7e308, -1.7e308]],
+    [[1.7e308, -1.7e308, 0.0], [-1.7e308, 1.7e308, 1.7e308]],
+    MIXED_LOGITS,
+], ids=["equal", "overflowing_shift", "mixed"])
+def test_softmax_probabilities_are_finite_by_construction(logits):
+    """The probabilities are e / s with e in [0, 1] and s >= 1, so they stay
+    finite (and sum to 1) even where x - max overflows to -inf; they are not
+    checked. With each row's label at its maximum the loss is finite too."""
+    logits = np.asarray(logits)
+    with np.errstate(over="ignore"):
+        loss, probs = softmax_cross_entropy(Tensor(logits), logits.argmax(axis=1))
+    assert np.isfinite(loss.item())
+    assert np.isfinite(probs).all()
+    assert (np.abs(probs.sum(axis=1) - 1.0) <= 1e-12).all()
+
+
+def test_an_overflowing_loss_still_raises():
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="softmax_xent"):
+        softmax_cross_entropy(Tensor([[1.7e308, -1.7e308]]), [1])
+
+
 def test_detach_blocks_gradient():
     tape = Tape()
     x = tape.leaf(np.ones((2, 2)), param_id="x")

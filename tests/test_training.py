@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import iemf.tensor as T
 from iemf.config import load_config
@@ -18,6 +19,7 @@ from iemf.modulation import IEMFConfig
 from iemf.neurons import LIFParams
 from iemf.tensor import Tape, Tensor
 from iemf.training import (
+    METHODS,
     EpochMetrics,
     OptimConfig,
     flops_per_epoch,
@@ -27,7 +29,7 @@ from iemf.training import (
     train,
 )
 
-from reference_ops import hand_forward_flops
+from reference_ops import hand_forward_flops, per_parameter_sgd_step
 
 # frozen 2-epoch seed-0 regression values (generated once)
 GOLDEN_EPOCHS = [
@@ -97,7 +99,7 @@ def test_sgd_zero_gradients_no_change():
 def test_sgd_weight_decay_hand_case():
     # w=1, g=1, eta=0.1, wd=0.1 -> w' = 1 - 0.1*(1 + 0.1*1) = 0.89
     _, model = small_setup()
-    model.params["enc_a.0.W"] = np.ones_like(model.params["enc_a.0.W"])
+    model.params["enc_a.0.W"][...] = 1.0
     cfg = OptimConfig(eta=0.1, weight_decay=0.1)
     sgd_step(model, grads_like(model, 1.0), cfg, xi=1.0)
     assert np.allclose(model.params["enc_a.0.W"], 0.89, atol=1e-15)
@@ -109,7 +111,7 @@ def test_mslr_multiplier_scales_update_exactly():
     _, model = small_setup()
     # zeroed parameters make the applied update exactly recoverable: w' = -delta
     for pid in model.params:
-        model.params[pid] = np.zeros_like(model.params[pid])
+        model.params[pid][...] = 0.0
     base = model.clone()
     scaled = model.clone()
     rng = np.random.default_rng(8)
@@ -126,11 +128,44 @@ def test_mslr_multiplier_scales_update_exactly():
             assert np.array_equal(base.params[pid], scaled.params[pid]), pid
 
 
+# signed zeros, subnormals and the smallest normal, beside ordinary values
+VALUES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308]) | \
+    st.floats(-10.0, 10.0)
+OPTIM = st.builds(
+    OptimConfig, eta=st.floats(1e-4, 1.0), weight_decay=st.just(0.0) | st.floats(0.0, 1.0),
+    method=st.sampled_from(METHODS), mult_a=st.floats(0.1, 4.0), mult_v=st.floats(0.1, 4.0))
+XI = st.floats(0.0, 2.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), cfgs=st.lists(OPTIM, min_size=2, max_size=2),
+       xis=st.lists(XI, min_size=3, max_size=3),
+       changed=st.sampled_from(["eta", "weight_decay", "method", "mult_a", "mult_v"]))
+def test_vector_update_equals_the_per_parameter_loop_bit_for_bit(data, cfgs, xis, changed):
+    """Three steps, one optimizer setting changing before the last, each equal
+    to the per-parameter update in every bit, signs of zero included."""
+    _, model = small_setup()
+    n = model.flat.size
+    model.params["enc_a.0.W"][...] = 0.0  # keep some weights exactly zero
+    drawn = data.draw(arrays(np.float64, n, elements=VALUES))
+    model.flat[:] = np.where(data.draw(arrays(bool, n)), drawn, model.flat)
+    last = replace(cfgs[0], **{changed: getattr(cfgs[1], changed)})
+    for cfg, xi in zip([cfgs[0], cfgs[0], last], xis):
+        g = data.draw(arrays(np.float64, n, elements=VALUES))
+        grads = {pid: g[start:stop].reshape(shape) for pid, start, stop, shape in model.spans}
+        want = per_parameter_sgd_step({pid: w.copy() for pid, w in model.params.items()},
+                                      grads, cfg, xi)
+        sgd_step(model, grads, cfg, xi)
+        for pid, w in model.params.items():
+            assert np.array_equal(w, want[pid]), pid
+            assert np.array_equal(np.signbit(w), np.signbit(want[pid])), pid
+
+
 def test_sgd_overflowing_update_aborts_and_leaves_the_model_untouched():
     """A finite parameter and a finite update whose difference overflows: the
     new value is checked before the commit, so no parameter changes."""
     _, model = small_setup()
-    model.params["head_v.W"] = np.full_like(model.params["head_v.W"], 1.5e308)
+    model.params["head_v.W"][...] = 1.5e308
     before = {pid: arr.copy() for pid, arr in model.params.items()}
     cfg = OptimConfig(eta=1.0, weight_decay=0.0)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="head_v.W"):
