@@ -79,7 +79,8 @@ def model_objective(model: MultimodalModel, data):
     the head-loss share are computed on its first call and reused, and each
     evaluation runs only the fusion layer and the fused criterion, on a tape
     that holds only the fusion parameters. Its values equal the full-vector
-    path's bit for bit.
+    path's bit for bit. Each tape binds its block's parameters in span order,
+    so `grad_fn` returns `backward`'s vector as it comes.
 
     One memo slot holds the block, the point's bytes and the loss of the
     latest `grad_fn` call that returned; no tape is kept. `loss_fn` at the
@@ -128,12 +129,9 @@ def model_objective(model: MultimodalModel, data):
         nonlocal last
         w = np.asarray(w, dtype=np.float64)
         tape = Tape()
-        if block == "all":
-            loss, block_spans = forward_full(batch, at(w), tape).loss, spans
-        else:
-            loss, block_spans = fusion_loss(w, tape, block), fusion
-        grads = backward(tape, loss)
-        grad = np.concatenate([grads[pid].reshape(-1) for pid, _, _, _ in block_spans])
+        loss = (forward_full(batch, at(w), tape).loss if block == "all"
+                else fusion_loss(w, tape, block))
+        grad = backward(tape, loss)
         last = (block, w.tobytes(), loss.item())
         return grad
 

@@ -156,12 +156,16 @@ def load_dataset(path: str) -> Dataset:
     if header.meta.get("kind") != "dataset":
         raise FormatError(f"{path}: container does not hold a dataset")
     spec = _build(DataSpec, header.meta.get("spec"), f"{path}: dataset spec")
-    sections = {entry.name: entry.decode(payload) for entry in header.sections}
+    entries = {entry.name: entry for entry in header.sections}
+
+    def section(name: str) -> np.ndarray:  # decodes only the sections read
+        return entries[name].decode(payload)
+
     try:
-        train = Batch(Tensor(sections["train/x_a"]), Tensor(sections["train/x_v"]),
-                      _labels_from_f64(sections["train/y"], path))
-        test = Batch(Tensor(sections["test/x_a"]), Tensor(sections["test/x_v"]),
-                     _labels_from_f64(sections["test/y"], path))
+        train = Batch(Tensor(section("train/x_a")), Tensor(section("train/x_v")),
+                      _labels_from_f64(section("train/y"), path))
+        test = Batch(Tensor(section("test/x_a")), Tensor(section("test/x_v")),
+                     _labels_from_f64(section("test/y"), path))
     except KeyError as exc:
         raise FormatError(f"{path}: dataset container is missing section {exc}") from exc
     return Dataset(train=train, test=test, spec=spec)
@@ -178,11 +182,11 @@ def load_checkpoint(path: str) -> MultimodalModel:
     if header.meta.get("kind") != "checkpoint":
         raise FormatError(f"{path}: container does not hold a checkpoint")
     cfg = _build(ModelConfig, header.meta.get("model"), f"{path}: checkpoint model")
-    params = {entry.name[len("param/"):]: entry.decode(payload) for entry in header.sections
-              if entry.name.startswith("param/")}
+    entries = {entry.name[len("param/"):]: entry for entry in header.sections
+               if entry.name.startswith("param/")}
     expected = param_shapes(cfg)
-    wrong = sorted(pid for pid in expected.keys() | params.keys()
-                   if pid not in params or expected.get(pid) != params[pid].shape)
+    wrong = sorted(pid for pid in expected.keys() | entries.keys()
+                   if pid not in entries or expected.get(pid) != tuple(entries[pid].shape))
     if wrong:
         raise FormatError(f"{path}: parameters {wrong} do not match the checkpoint's model config")
-    return MultimodalModel(cfg, {pid: params[pid] for pid in expected})
+    return MultimodalModel(cfg, {pid: entries[pid].decode(payload) for pid in expected})

@@ -133,7 +133,6 @@ def iemf_train_step(batch: Batch, model: MultimodalModel, cfg,
     s_unimodal, s_multimodal = batch_strength_scores(c_a, c_v, c_av)
     icfg = cfg.iemf
     xi = iemf_coefficient(s_unimodal, s_multimodal, icfg) if icfg.enabled else 1.0
-    grads = backward(tape, out.loss)
-    sgd_step(model, grads, cfg, xi)
+    sgd_step(model, backward(tape, out.loss), cfg, xi)
     return StepRecord(s_unimodal, s_multimodal, xi, out.loss.item(),
                       top1_accuracy(out.logits_av, batch.y))

@@ -13,7 +13,7 @@ Each softmax takes its row maxima over a class-major copy of the logits:
 along a short last axis numpy runs its reduce loop once per row, and a max
 is exact in any order, so the values are those of the row-wise form.
 A `Tensor` is only what an op records or reads: results that leave the tape,
-those probabilities and the gradients `backward` returns, are numpy arrays.
+those probabilities and the gradient vector `backward` returns, are numpy arrays.
 
 Every value is checked for finiteness once: op outputs in `_run` (scalars by
 `math.isfinite`), raw arrays where they enter through `Tensor(...)` or
@@ -490,17 +490,18 @@ register_op("distill_kl", _fwd_distill_kl, _bwd_distill_kl,
 # reverse pass
 
 
-def backward(tape: Tape, seed: Tensor) -> dict[str, Array]:
-    """Accumulate d(seed)/d(param) for every parameter leaf on the tape.
+def backward(tape: Tape, seed: Tensor) -> Array:
+    """d(seed)/d(param) for every parameter leaf on the tape, as one vector.
 
     The seed must be a scalar node of this tape. Each node carries the
     needs-gradient flag it was recorded with: a parameter leaf needs one, a
     non-parameter leaf (a constant, or a detached value) needs none, and any
     other node needs one if any of its inputs does. The reverse pass visits
     only flagged nodes, hands each rule its inputs' flags, and accumulates
-    only flagged inputs' gradients; parameter leaves the seed does not
-    depend on get zero gradients. Returns one array per parameter id, shaped
-    like its parameter: views into one vector, in leaf order, checked once.
+    only flagged inputs' gradients. Returns each parameter leaf's gradient
+    flattened, in leaf order, zero where the seed does not depend on the
+    leaf, checked once; for a tape bound by `model.bind_params` that is the
+    layout of `model.flat`, and `model.holding(grad).params` names the parts.
     """
     if seed.tape is not tape or seed.node is None:
         raise ContractError("seed is not recorded on this tape")
@@ -530,18 +531,12 @@ def backward(tape: Tape, seed: Tensor) -> dict[str, Array]:
             if g is None or not need:
                 continue
             adjoints[iid] = g if adjoints[iid] is None else adjoints[iid] + g
-    params = [(nid, node) for nid, node in enumerate(tape.nodes)
+    params = [(nid, node.value.size) for nid, node in enumerate(nodes)
               if node.op == "leaf" and node.param_id is not None]
-    flat = np.empty(sum([node.value.size for _, node in params]))
-    grads: dict[str, Array] = {}
-    offset = 0
-    for nid, node in params:
-        if node.param_id in grads:
-            raise ContractError(f"parameter {node.param_id!r} bound twice on one tape")
-        view = flat[offset:offset + node.value.size].reshape(node.value.shape)
-        offset += node.value.size
-        g = adjoints[nid] if nid <= seed.node else None
-        view[...] = 0.0 if g is None else g
-        grads[node.param_id] = view
-    _require_finite(flat, "backward")
-    return grads
+    grad, offset = np.zeros(sum([size for _, size in params])), 0
+    for nid, size in params:
+        if nid <= seed.node and adjoints[nid] is not None:
+            grad[offset:offset + size] = adjoints[nid].reshape(-1)
+        offset += size
+    _require_finite(grad, "backward")
+    return grad

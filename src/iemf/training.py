@@ -98,9 +98,10 @@ def _element_rates(model: MultimodalModel, cfg: OptimConfig, xi: float):
     return lr, wd
 
 
-def sgd_step(model: MultimodalModel, grads: dict[str, np.ndarray], cfg: OptimConfig,
+def sgd_step(model: MultimodalModel, grad: np.ndarray, cfg: OptimConfig,
              xi: float = 1.0) -> None:
-    """Per-group SGD step; the fusion layer's learning rate is eta * xi.
+    """Per-group SGD step on `grad`, laid out like `model.flat` (as `backward`
+    returns it); the fusion layer's learning rate is eta * xi.
 
     Encoders use eta times their modality multiplier (1 under vanilla), probe
     heads use plain eta, and weight decay applies to weight matrices only.
@@ -111,19 +112,18 @@ def sgd_step(model: MultimodalModel, grads: dict[str, np.ndarray], cfg: OptimCon
     vector is checked once here, and `model.bind_params` binds it unchecked.
     A finite new value from a finite old one implies a finite update, and the
     check also catches an overflow of the subtraction itself. Everything is
-    staged and validated before the commit, so a failed step (a missing
-    gradient, a non-finite gradient, eta or xi, or an overflowing update)
-    leaves the model unmodified; it names the first parameter at fault, with
-    numpy's floating-point warnings off.
+    staged and validated before the commit, so a failed step (a gradient of
+    another shape, a non-finite gradient, eta or xi, or an overflowing
+    update) leaves the model unmodified; it names the first parameter at
+    fault, with numpy's floating-point warnings off.
     """
-    try:
-        g = np.concatenate([grads[pid] for pid in model.params], axis=None)
-    except KeyError as exc:
-        raise NumericError(f"gradient set is missing {exc.args[0]}; step aborted") from None
+    if np.shape(grad) != model.flat.shape:
+        raise NumericError(f"gradient of shape {np.shape(grad)} for {model.flat.size} "
+                           "parameters; step aborted")
     lr, wd = _element_rates(model, cfg, xi)
     w = model.flat
     with np.errstate(all="ignore"):
-        new = w - lr * (g + wd * w)
+        new = w - lr * (grad + wd * w)
     if not np.isfinite(new).all():
         bad = next(pid for pid, start, stop, _ in model.spans
                    if not np.isfinite(new[start:stop]).all())

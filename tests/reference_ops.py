@@ -1,6 +1,6 @@
-"""Tape ops, a replay check, the hand-written FLOPs count of the network, the
-dense finite-difference Hessian and the per-parameter SGD update: references
-that only the tests use.
+"""Tape ops, a replay check, the hand-written FLOPs count of the network,
+gradients named by parameter leaf, the dense finite-difference Hessian and
+the per-parameter SGD update: references that only the tests use.
 
 No program path records `matmul`, `transpose`, `add_bias`, `mul` or
 `sum_all`: the model runs every affine map through the fused `linear`, the
@@ -144,6 +144,16 @@ def hand_forward_flops(cfg: ModelConfig, batch: int) -> int:
 
 
 MAX_DENSE_PARAMS = 2000
+
+
+def named_grads(tape: Tape, seed: Tensor) -> dict:
+    """`backward`'s vector cut into one array per parameter leaf of `tape`, keyed by its id."""
+    grad, named, offset = T.backward(tape, seed), {}, 0
+    for node in tape.nodes:
+        if node.op == "leaf" and node.param_id is not None:
+            named[node.param_id] = grad[offset:offset + node.value.size].reshape(node.value.shape)
+            offset += node.value.size
+    return named
 
 
 def finite_difference_hessian(grad_fn, w0: np.ndarray, h: float = 1e-4) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,9 @@ from iemf.analysis import (
 from iemf.config import load_config
 from iemf.data import DataSpec, generate
 from iemf.errors import ContractError, NumericError
-from iemf.model import ModelConfig, init_model
+from iemf.model import ModelConfig, forward_full, init_model
 from iemf.neurons import LIFParams
+from iemf.tensor import Tape, backward
 from iemf.training import OptimConfig, train
 
 from reference_ops import finite_difference_hessian, hessian_eigens
@@ -221,6 +223,27 @@ def test_model_sharpness_fusion_block_only_moves_fusion():
             assert np.array_equal(model.params[pid], arr)
     full = sharpness(model, ds, ball_radius=0.3, n_probes=2, ascent_steps=3, seed=0, blocks="all")
     assert full.n_probes == 2 and full.ball_radius == 0.3
+
+
+def test_grad_fn_returns_the_named_gradients_in_the_parameters_layout():
+    ds = generate(DataSpec(n_classes=3, d_a=4, d_v=4, train_per_class=6, test_per_class=3, seed=0))
+    model = init_model(ModelConfig(d_in_a=4, d_in_v=4, n_classes=3, hidden=5, latent=4), 0)
+    _, grad_fn, w0, spans = model_objective(model, ds)
+    joint, tape = model.clone(), Tape()
+    joint.cfg = replace(joint.cfg, head_mode="joint")
+    named = joint.holding(backward(tape, forward_full(ds.train, joint, tape).loss)).params
+    got = model.holding(grad_fn(w0)).params
+    for pid, arr in named.items():
+        assert np.array_equal(got[pid], arr), pid
+    fusion = [(pid, shape) for pid, _, _, shape in spans if pid.startswith("fusion.")]
+    idx = np.concatenate([np.arange(start, stop) for pid, start, stop, _ in spans
+                          if pid.startswith("fusion.")])
+    got, offset = grad_fn(w0[idx], block="fusion"), 0
+    for pid, shape in fusion:
+        size = named[pid].size
+        assert np.array_equal(got[offset:offset + size].reshape(shape), named[pid]), pid
+        offset += size
+    assert offset == got.size
 
 
 def test_model_objective_fusion_mode_matches_full_vector_and_rejects_other_blocks():

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from iemf.container import (
     FORMAT_VERSION,
     MAGIC,
+    Section,
     _read_header,
     load_checkpoint,
     load_dataset,
@@ -170,6 +172,37 @@ def test_checkpoint_round_trip_preserves_forward(tmp_path):
         assert np.array_equal(loaded.params[pid], arr)
     ds = generate(DataSpec(n_classes=3, d_a=4, d_v=5, train_per_class=3, test_per_class=1, seed=0))
     assert forward_full(ds.train, model).loss.item() == forward_full(ds.train, loaded).loss.item()
+
+
+def _counted_decodes(monkeypatch) -> list:
+    names, decode = [], Section.decode
+    monkeypatch.setattr(Section, "decode",
+                        lambda self, payload: names.append(self.name) or decode(self, payload))
+    return names
+
+
+def test_load_dataset_decodes_only_its_six_sections(tmp_path, monkeypatch):
+    path = str(tmp_path / "data.iemf")
+    ds = generate(DataSpec(n_classes=2, d_a=3, d_v=3, train_per_class=4, test_per_class=2, seed=1))
+    save_dataset(path, ds)
+    sections, meta = read_container(path)
+    write_container(path, {**{f"extra/{i}": np.zeros(2) for i in range(1000)}, **sections}, meta)
+    decoded = _counted_decodes(monkeypatch)
+    loaded = load_dataset(path)
+    assert sorted(decoded) == sorted(sections)
+    assert np.array_equal(loaded.test.x_v.data, ds.test.x_v.data)
+
+
+def test_load_checkpoint_refuses_a_wrong_header_shape_before_decoding(tmp_path, monkeypatch):
+    path = str(tmp_path / "model.iemf")
+    model = init_model(ModelConfig(d_in_a=4, d_in_v=5, n_classes=3, hidden=6, latent=4), 0)
+    sections = {f"param/{pid}": arr for pid, arr in model.params.items()}
+    sections["param/fusion.W"] = model.params["fusion.W"].T
+    write_container(path, sections, {"kind": "checkpoint", "model": asdict(model.cfg)})
+    decoded = _counted_decodes(monkeypatch)
+    with pytest.raises(FormatError, match=r"parameters \['fusion.W'\] do not match"):
+        load_checkpoint(path)
+    assert decoded == []
 
 
 def test_wrong_kind_rejected(tmp_path):

@@ -21,7 +21,7 @@ from iemf.data import DataSpec, generate
 from iemf.errors import ConfigError, ContractError
 from iemf.model import ModelConfig, init_model
 from iemf.modulation import IEMFConfig
-from iemf.tensor import Tape, Tensor, backward, softmax_cross_entropy
+from iemf.tensor import Tape, Tensor, softmax_cross_entropy
 from iemf.training import OptimConfig, train
 
 import reference_ops as R
@@ -130,10 +130,18 @@ def _assert_bits_equal(got, want):
     assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def test_a_blocked_class_gets_zero_probability_however_large_its_logit():
+    """-2 against 0 over the allowed classes; a mask that leaves the blocked
+    logit above the others (-1e3 against 1e4) would give it probability 1."""
+    loss, probs = masked_cross_entropy(Tensor([[0.0, 1e4, -2.0]]), [0], [0, 2])
+    assert probs[0, 1] == 0.0
+    assert loss.item() == pytest.approx(math.log1p(math.exp(-2.0)), rel=1e-12)  # 0.1269
+
+
 def _loss_probs_grad(criterion, logits0):
     tape = Tape()
     loss, probs = criterion(tape.leaf(logits0, param_id="logits"))
-    return loss.data, probs, backward(tape, loss)["logits"]
+    return loss.data, probs, R.named_grads(tape, loss)["logits"]
 
 
 @pytest.mark.parametrize("m", range(2, 9))

@@ -182,7 +182,7 @@ def small_setup(batch_size=6):
 
 
 def zero_grads(model):
-    return {pid: np.zeros_like(arr) for pid, arr in model.params.items()}
+    return np.zeros_like(model.flat)
 
 
 def test_modulated_update_hand_case():
@@ -190,8 +190,7 @@ def test_modulated_update_hand_case():
     _, model, _ = small_setup()
     model = MultimodalModel(model.cfg, {"fusion.W": [[1.0]], "fusion.b": [0.0],
                                         "head_a.W": [[1.0]]})
-    grads = {"fusion.W": np.array([[2.0]]), "fusion.b": np.array([0.0]),
-             "head_a.W": np.array([[2.0]])}
+    grads = np.array([2.0, 0.0, 2.0])  # fusion.W, fusion.b, head_a.W
     sgd_step(model, grads, OptimConfig(eta=0.1, weight_decay=0.0), xi=1.5)
     assert abs(model.params["fusion.W"][0, 0] - 0.7) < 1e-15
     assert abs(model.params["head_a.W"][0, 0] - 0.8) < 1e-15
@@ -208,9 +207,10 @@ def test_modulated_update_zero_gradient_is_identity():
 def test_modulated_update_xi_one_equals_plain_sgd():
     _, model, _ = small_setup()
     twin = model.clone()
-    grads = {pid: np.full_like(arr, -0.5 if pid.endswith(".b") else 0.25)
-             for pid, arr in model.params.items()}
-    sgd_step(model, grads, OptimConfig(eta=0.05, weight_decay=0.0), xi=1.0)
+    grad = np.concatenate([np.full(arr.size, -0.5 if pid.endswith(".b") else 0.25)
+                           for pid, arr in model.params.items()])
+    grads = model.holding(grad).params
+    sgd_step(model, grad, OptimConfig(eta=0.05, weight_decay=0.0), xi=1.0)
     for pid in model.params:
         assert np.array_equal(model.params[pid], twin.params[pid] - 0.05 * grads[pid]), pid
 
@@ -220,9 +220,11 @@ def test_modulated_update_missing_or_bad_gradients_abort_cleanly():
     before = {pid: arr.copy() for pid, arr in model.params.items()}
     cfg = OptimConfig(eta=0.1)
     zeros = zero_grads(model)
-    without_fusion = {pid: g for pid, g in zeros.items() if model.group_of(pid) != "fusion"}
+    without_fusion = np.concatenate([g.reshape(-1) for pid, g in
+                                     model.holding(zeros).params.items()
+                                     if model.group_of(pid) != "fusion"])
     with pytest.raises(NumericError):
-        sgd_step(model, {}, cfg, xi=1.0)
+        sgd_step(model, np.zeros(0), cfg, xi=1.0)
     with pytest.raises(NumericError):
         sgd_step(model, without_fusion, cfg, xi=1.0)
     with pytest.raises(NumericError):
@@ -295,12 +297,13 @@ def test_descent_direction_preserved():
 
     tape = Tape()
     out = forward_full(batch, model, tape)
-    grads = backward(tape, out.loss)
+    grad = backward(tape, out.loss)
+    grads = model.holding(grad).params
     before = model.params["fusion.W"].copy()
     cfg_nowd = OptimConfig(eta=1e-2, weight_decay=0.0, epochs=1, batch_size=6, seed=0)
     xi = iemf_train_step(batch, model.clone(), cfg_nowd).xi
     stepped = model.clone()
-    sgd_step(stepped, grads, cfg_nowd, xi)
+    sgd_step(stepped, grad, cfg_nowd, xi)
     step = stepped.params["fusion.W"] - before
     raw = grads["fusion.W"]
     ratio = step[raw != 0.0] / raw[raw != 0.0]

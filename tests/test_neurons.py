@@ -6,7 +6,7 @@ import pytest
 import iemf.tensor as T
 from iemf.errors import ConfigError, ShapeError
 from iemf.neurons import LIFParams, lif_layer, lif_scan, relu
-from iemf.tensor import Tape, Tensor, backward
+from iemf.tensor import Tape, Tensor
 
 import reference_ops as R
 
@@ -19,7 +19,7 @@ def test_relu_values():
 def test_relu_gradient():
     tape = Tape()
     x = tape.leaf(np.array([-1.0, 2.0]), param_id="x")
-    grads = backward(tape, R.sum_all(relu(x)))
+    grads = R.named_grads(tape, R.sum_all(relu(x)))
     assert np.array_equal(grads["x"], [0.0, 1.0])
 
 
@@ -29,7 +29,7 @@ def test_relu_gradient_matches_finite_differences_away_from_kink():
     x0[np.abs(x0) < 0.1] += 0.2  # keep clear of the kink
     tape = Tape()
     x = tape.leaf(x0, param_id="x")
-    grads = backward(tape, R.sum_all(R.mul(relu(x), relu(x))))
+    grads = R.named_grads(tape, R.sum_all(R.mul(relu(x), relu(x))))
     h = 1e-6
     for i in range(x0.size):
         xp, xm = x0.copy(), x0.copy()
@@ -150,7 +150,7 @@ def test_surrogate_derivative_hat():
     currents = np.array([[0.5, 1.5, -0.5, 0.75]])
     tape = Tape()
     x = tape.leaf(currents, param_id="x")
-    grad = backward(tape, R.sum_all(lif_layer(x, p)))["x"][0]
+    grad = R.named_grads(tape, R.sum_all(lif_layer(x, p)))["x"][0]
     assert grad[0] == 1.0
     assert grad[1] == 0.0
     assert grad[2] == 0.0
@@ -185,7 +185,7 @@ def test_subthreshold_map_is_linear_and_matches_finite_differences():
     tape = Tape()
     w = tape.leaf(w0, param_id="w")
     drive = R.matmul(tape.leaf(x), R.transpose(w))
-    grads = backward(tape, R.sum_all(lif_layer(drive, p)))
+    grads = R.named_grads(tape, R.sum_all(lif_layer(drive, p)))
     h = 1e-5
     for idx in [(0, 0), (1, 2), (2, 1)]:
         wp, wm = w0.copy(), w0.copy()
@@ -242,7 +242,7 @@ def test_bptt_matches_hand_unrolled_oracle():
     b = tape.leaf(b0, param_id="b")
     spikes = lif_layer(T.linear(tape.leaf(x), w, b), p)
     loss = R.sum_all(R.mul(spikes, Tensor(np.tile(c, (3 * p.t_steps, 1)))))
-    grads = backward(tape, loss)
+    grads = R.named_grads(tape, loss)
 
     ref_loss, ref_dw, ref_db = _hand_unrolled_bptt(w0, b0, x, c, p, p.t_steps)
     assert ref_loss > 0.0  # the oracle only bites if spikes actually fire
@@ -267,7 +267,7 @@ def test_bptt_per_step_currents_matches_hand_unrolled_oracle():
     currents = T.linear(tape.leaf(np.concatenate(xs)), w, b, p.t_steps)
     spikes = lif_layer(currents, p, p.t_steps)
     loss = R.sum_all(R.mul(spikes, Tensor(np.repeat(np.array(weights), 5, axis=0))))
-    grads = backward(tape, loss)
+    grads = R.named_grads(tape, loss)
 
     u = np.zeros((5, 4))
     pres, fired = [], []

@@ -5,7 +5,7 @@ training (both neuron modes), LwF continual learning and fusion sharpness
 record on their tapes; and every module-level name in `src/iemf/`, public or
 private (dunders aside), is read by the package itself, except the listed
 ones. A helper only the tests need lives under `tests/` (see
-`reference_ops.py`).
+`reference_ops.py`). The rows of `tests/mutants.py` must still apply.
 """
 
 import ast
@@ -147,3 +147,14 @@ def test_an_unread_public_name_is_found():
         "__init__": "from .b import SPARE, recursive\n",
     }
     assert unread_names(sources) == {("b", "SPARE"), ("b", "recursive"), ("b", "_private")}
+
+
+def test_each_mutant_row_edits_text_that_occurs_once():
+    """`tests/mutants.py` rows stay applicable: each names text found exactly
+    once in its file, and an outcome it can check."""
+    from mutants import MUTANTS
+
+    for name, original, replacement, expected in MUTANTS:
+        assert (SRC / name).read_text(encoding="utf-8").count(original) == 1, (name, original)
+        assert replacement != original, (name, original)
+        assert expected == "killed" or expected.startswith("equivalent: "), (name, expected)

@@ -100,14 +100,14 @@ def test_cross_entropy_label_out_of_range():
 def test_backward_sum_gives_ones():
     tape = Tape()
     x = tape.leaf(np.arange(6, dtype=float).reshape(2, 3), param_id="x")
-    grads = backward(tape, R.sum_all(x))
+    grads = R.named_grads(tape, R.sum_all(x))
     assert np.array_equal(grads["x"], np.ones((2, 3)))
 
 
 def test_backward_scalar_scaling():
     tape = Tape()
     x = tape.leaf(np.ones((3, 2)), param_id="x")
-    grads = backward(tape, R.sum_all(T.smul(x, 2.5)))
+    grads = R.named_grads(tape, R.sum_all(T.smul(x, 2.5)))
     assert np.array_equal(grads["x"], np.full((3, 2), 2.5))
 
 
@@ -119,11 +119,27 @@ def test_backward_requires_scalar_seed():
         backward(tape, y)
 
 
+def test_backward_without_parameter_leaves_returns_an_empty_vector():
+    tape = Tape()
+    grad = backward(tape, R.sum_all(tape.leaf(np.ones(3))))
+    assert type(grad) is np.ndarray and grad.dtype == np.float64 and grad.shape == (0,)
+
+
+def test_a_parameter_leaf_recorded_after_the_seed_gets_zeros():
+    tape = Tape()
+    x = tape.leaf(np.full(2, 3.0), param_id="x")
+    seed = R.sum_all(T.smul(x, 2.0))
+    tape.leaf(np.ones((2, 2)), param_id="late")
+    grad = backward(tape, seed)
+    assert np.array_equal(grad, [2.0, 2.0, 0.0, 0.0, 0.0, 0.0])
+    assert not np.signbit(grad).any()
+
+
 def test_backward_skips_non_parameter_leaves():
     tape = Tape()
     x = tape.leaf(np.ones(3), param_id="x")
     c = tape.leaf(np.full(3, 2.0))  # constant leaf
-    grads = backward(tape, R.sum_all(R.mul(x, c)))
+    grads = R.named_grads(tape, R.sum_all(R.mul(x, c)))
     assert set(grads.keys()) == {"x"}
 
 
@@ -156,7 +172,7 @@ def test_gradients_match_finite_differences_on_random_nets():
         x = rng.standard_normal((6, 4))
         labels = rng.integers(0, 3, size=6)
         tape, loss = _two_layer_loss(w1, w2, x, labels)
-        grads = backward(tape, loss)
+        grads = R.named_grads(tape, loss)
         for name, w in (("w1", w1), ("w2", w2)):
             if name == "w1":
                 fd = _finite_difference(lambda v: _two_layer_loss(v, w2, x, labels)[1].item(), w1)
@@ -202,7 +218,7 @@ def test_kernel_gradients_finite_difference_sweep():
         return tape, loss, lin
 
     tape, loss, lin = build(vals0)
-    grads = backward(tape, loss)
+    grads = R.named_grads(tape, loss)
     assert R.replay_forward(tape)
     assert {n.op for n in tape.nodes} >= {"linear", "step_mean", "lif_layer"}
     for steps in (1, 3):
@@ -227,7 +243,7 @@ def test_linear_is_bit_identical_to_the_composed_affine_map():
         tape = Tape()
         x, w, b = (tape.leaf(v, param_id=k) for k, v in (("x", x0), ("w", w0), ("b", b0)))
         out = T.linear(x, w, b) if fused else R.add_bias(R.matmul(x, R.transpose(w)), b)
-        grads = backward(tape, R.sum_all(R.mul(out, weights)))
+        grads = R.named_grads(tape, R.sum_all(R.mul(out, weights)))
         runs.append((out.data, grads, len(tape)))
     (fused_out, fused_grads, fused_nodes), (out, grads, nodes) = runs
     assert np.array_equal(fused_out, out)
@@ -245,7 +261,7 @@ def test_step_mean_blocks_and_gradient():
     x = tape.leaf(np.arange(12, dtype=float).reshape(6, 2), param_id="x")
     mean = T.step_mean(x, 3)
     assert mean.data.tolist() == [[4, 5], [6, 7]]
-    grads = backward(tape, R.sum_all(T.smul(mean, 6.0)))
+    grads = R.named_grads(tape, R.sum_all(T.smul(mean, 6.0)))
     assert np.array_equal(grads["x"], np.full((6, 2), 2.0))
     nodes = len(tape)
     assert T.step_mean(x, 1) is x and len(tape) == nodes  # one step records nothing
@@ -267,7 +283,7 @@ def _per_step_composition(x0, w0, b0, weights, steps):
         for out in outs[1:]:
             mean = T.add(mean, out)
         mean = T.smul(mean, 1.0 / steps)
-    grads = backward(tape, R.sum_all(R.mul(mean, Tensor(weights))))
+    grads = R.named_grads(tape, R.sum_all(R.mul(mean, Tensor(weights))))
     gx = np.concatenate([grads[f"x{t}"] for t in range(steps)])
     return np.concatenate([o.data for o in outs]), mean.data, gx, grads["w"], grads["b"]
 
@@ -287,7 +303,7 @@ def test_stacked_linear_and_step_mean_equal_the_per_step_composition(
     x, w, b = (tape.leaf(v, param_id=name) for name, v in (("x", x0), ("w", w0), ("b", b0)))
     out = T.linear(x, w, b, steps)
     mean = T.step_mean(out, steps)
-    grads = backward(tape, R.sum_all(R.mul(mean, Tensor(weights))))
+    grads = R.named_grads(tape, R.sum_all(R.mul(mean, Tensor(weights))))
     stacked = (out.data, mean.data, grads["x"], grads["w"], grads["b"])
     for got, want in zip(stacked, _per_step_composition(x0, w0, b0, weights, steps)):
         assert got.shape == want.shape and np.array_equal(got, want)
@@ -433,7 +449,7 @@ def test_kept_softmax_criteria_equal_the_three_softmax_code(b, m, kind, temperat
     tape = Tape()
     x = tape.leaf(x0, param_id="x")
     loss, probs = softmax_cross_entropy(x, y)
-    grads = backward(tape, T.smul(loss, g))
+    grads = R.named_grads(tape, T.smul(loss, g))
     want_loss, want_probs, want_grad = _old_softmax_xent(x0, y, g)
     assert np.array_equal(loss.data, want_loss)
     assert probs is tape.nodes[loss.node].saved and np.array_equal(probs, want_probs)
@@ -446,7 +462,7 @@ def test_kept_softmax_criteria_equal_the_three_softmax_code(b, m, kind, temperat
     tape = Tape()
     x = tape.leaf(x0, param_id="x")
     kl = T.distill_kl(x, Tensor(ref), temperature)
-    grads = backward(tape, T.smul(kl, g))
+    grads = R.named_grads(tape, T.smul(kl, g))
     want_kl, want_kl_grad = _old_distill_kl(x0, ref, temperature, g)
     assert np.array_equal(kl.data, want_kl)
     assert np.array_equal(grads["x"], want_kl_grad)
@@ -494,7 +510,7 @@ def test_an_overflowing_loss_still_raises():
 def test_detach_blocks_gradient():
     tape = Tape()
     x = tape.leaf(np.ones((2, 2)), param_id="x")
-    grads = backward(tape, R.sum_all(R.mul(x, T.detach(x))))
+    grads = R.named_grads(tape, R.sum_all(R.mul(x, T.detach(x))))
     # d/dx sum(x * const) = const = detached value
     assert np.array_equal(grads["x"], np.ones((2, 2)))
 
@@ -543,7 +559,7 @@ def test_backward_never_visits_a_branch_without_parameters(monkeypatch):
     h = T.smul(w, 2.0)
     through_constant = relu(x)
     through_detach = relu(T.detach(T.select_cols(h, [1, 0])))
-    grads = backward(tape, R.sum_all(T.add(R.mul(h, through_constant), through_detach)))
+    grads = R.named_grads(tape, R.sum_all(T.add(R.mul(h, through_constant), through_detach)))
     assert calls == {"relu": 0, "smul": 1, "select_cols": 0}
     assert np.array_equal(grads["w"], 2.0 * np.maximum(0.0, x.data))
 
@@ -553,7 +569,7 @@ def test_backward_of_a_seed_without_parameters_calls_no_rule(monkeypatch):
     tape = Tape()
     tape.leaf(np.ones((2, 3)), param_id="w")
     seed = R.sum_all(T.smul(tape.leaf(np.arange(6.0).reshape(2, 3)), 2.0))
-    grads = backward(tape, seed)
+    grads = R.named_grads(tape, seed)
     assert not any(calls.values())
     assert np.array_equal(grads["w"], np.zeros((2, 3)))
 
@@ -647,7 +663,7 @@ def test_determinism_bit_identical():
     t1, l1 = _two_layer_loss(w1, w2, x, labels)
     t2, l2 = _two_layer_loss(w1, w2, x, labels)
     assert l1.item() == l2.item()
-    g1, g2 = backward(t1, l1), backward(t2, l2)
+    g1, g2 = R.named_grads(t1, l1), R.named_grads(t2, l2)
     for k in g1:
         assert np.array_equal(g1[k], g2[k])
 

@@ -17,7 +17,7 @@ from iemf.errors import ConfigError, NumericError, ShapeError
 from iemf.model import Batch, ModelConfig, forward_full, init_model
 from iemf.modulation import IEMFConfig
 from iemf.neurons import LIFParams
-from iemf.tensor import Tape, Tensor
+from iemf.tensor import Tape, Tensor, backward
 from iemf.training import (
     METHODS,
     EpochMetrics,
@@ -75,7 +75,7 @@ def small_setup():
 
 
 def grads_like(model, value=0.0):
-    return {pid: np.full_like(arr, value) for pid, arr in model.params.items()}
+    return np.full_like(model.flat, value)
 
 
 def test_sgd_plain_everywhere_with_unit_multipliers():
@@ -115,7 +115,10 @@ def test_mslr_multiplier_scales_update_exactly():
     base = model.clone()
     scaled = model.clone()
     rng = np.random.default_rng(8)
-    g = {pid: rng.standard_normal(arr.shape) for pid, arr in model.params.items()}
+    g = model.holding(np.empty_like(model.flat))
+    for pid, arr in g.params.items():
+        arr[...] = rng.standard_normal(arr.shape)
+    g = g.flat
     sgd_step(base, g, OptimConfig(eta=0.1, weight_decay=0.0, method="mslr",
                                   mult_a=0.5, mult_v=1.0), xi=1.0)
     sgd_step(scaled, g, OptimConfig(eta=0.1, weight_decay=0.0, method="mslr",
@@ -152,10 +155,10 @@ def test_vector_update_equals_the_per_parameter_loop_bit_for_bit(data, cfgs, xis
     last = replace(cfgs[0], **{changed: getattr(cfgs[1], changed)})
     for cfg, xi in zip([cfgs[0], cfgs[0], last], xis):
         g = data.draw(arrays(np.float64, n, elements=VALUES))
-        grads = {pid: g[start:stop].reshape(shape) for pid, start, stop, shape in model.spans}
+        grads = model.holding(g).params
         want = per_parameter_sgd_step({pid: w.copy() for pid, w in model.params.items()},
                                       grads, cfg, xi)
-        sgd_step(model, grads, cfg, xi)
+        sgd_step(model, g, cfg, xi)
         for pid, w in model.params.items():
             assert np.array_equal(w, want[pid]), pid
             assert np.array_equal(np.signbit(w), np.signbit(want[pid])), pid
@@ -172,6 +175,18 @@ def test_sgd_overflowing_update_aborts_and_leaves_the_model_untouched():
         sgd_step(model, grads_like(model, -1.5e308), cfg, xi=1.0)
     for pid, arr in before.items():
         assert np.array_equal(model.params[pid], arr), pid
+
+
+def test_sgd_refuses_the_gradient_of_a_model_bound_twice_and_leaves_it_untouched():
+    ds, model = small_setup()
+    batch, tape = ds.train.subset(range(4)), Tape()
+    loss = T.add(forward_full(batch, model, tape).loss, forward_full(batch, model, tape).loss)
+    grad = backward(tape, loss)
+    assert grad.shape == (2 * model.flat.size,)
+    before = model.flat.tobytes()
+    with pytest.raises(NumericError, match="step aborted"):
+        sgd_step(model, grad, OptimConfig(), xi=1.0)
+    assert model.flat.tobytes() == before
 
 
 def test_train_lr_epsilon_one_epoch_changes_little_and_lr_path_is_pure():
