@@ -75,7 +75,7 @@ def model_objective(model: MultimodalModel, data):
 
     `loss_fn(w, block="fusion")` and `grad_fn(w, block="fusion")` take the
     fusion sub-vector (the fusion spans in order) with every other parameter
-    held at w0. That mode encodes once: the concatenated stacked latents and
+    held at w0. That mode encodes once: the concatenated per-step latents and
     the head-loss share are computed on its first call and reused, and each
     evaluation runs only the fusion layer and the fused criterion, on a tape
     that holds only the fusion parameters. Its values equal the full-vector

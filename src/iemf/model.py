@@ -9,9 +9,9 @@ outputs, in ``joint`` mode they train the encoders too.
 
 Spiking mode injects the same input current at every step (direct coding) and
 decodes by averaging the fusion-layer output over the steps (rate decoding).
-Every layer runs all T steps as one tape node over the stacked (T*B, N) rows,
-step t in rows t*B to (t+1)*B; continuous mode is the one-step case, and the
-mode picks only each layer's activation. A forward pass returns its logits and
+Every layer runs all T steps as one tape node over a (T, B, N) array, time on
+the leading axis; continuous mode keeps (B, N) rows, and the mode picks only
+each layer's activation. A forward pass returns its logits and
 loss as tensors, for `backward`, and the criteria's probabilities as arrays.
 """
 
@@ -59,11 +59,6 @@ class ModelConfig:
             raise ConfigError(f"head_mode must be one of {HEAD_MODES}")
         if self.head_loss_weight < 0.0:
             raise ConfigError("head_loss_weight must be non-negative")
-
-    @property
-    def steps(self) -> int:
-        """Time steps stacked in every layer's rows: T in spiking mode, else 1."""
-        return self.lif.t_steps if self.neuron_mode == "spiking" else 1
 
     def encoder_widths(self, modality: str) -> list[int]:
         d_in = self.d_in_a if modality == "a" else self.d_in_v
@@ -193,13 +188,13 @@ def bind_params(model: MultimodalModel, tape: Tape | None) -> dict[str, Tensor]:
 def _encode(x: Tensor, layers: list[tuple[Tensor, Tensor]], cfg: ModelConfig) -> Tensor:
     """Encoder stack: a ReLU between continuous layers, a T-step LIF layer after
     every spiking one. The first drive is the same at every step, so it is
-    computed once: rows stack one step up to the first LIF layer, T after it.
+    computed once: (B, N) up to the first LIF layer, (T, B, N) after it.
     """
-    z, steps = x, 1
+    z = x
     for i, (w, b) in enumerate(layers):
-        z = T.linear(z, w, b, steps)
+        z = T.linear(z, w, b)
         if cfg.neuron_mode == "spiking":
-            z, steps = lif_layer(z, cfg.lif, steps), cfg.steps
+            z = lif_layer(z, cfg.lif)
         elif i < len(layers) - 1:
             z = relu(z)
     return z
@@ -215,9 +210,9 @@ def _check_input_widths(batch: Batch, cfg: ModelConfig) -> None:
 
 def step_latents(batch: Batch, model: MultimodalModel,
                  leaves: dict[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """Stacked per-step encoder latents of both modalities (audio, visual).
+    """Per-step encoder latents of both modalities (audio, visual).
 
-    One step in continuous mode; the last layer's (T*B, N) spike train in
+    (B, N) in continuous mode; the last layer's (T, B, N) spike train in
     spiking mode.
     """
     cfg = model.cfg
@@ -231,23 +226,21 @@ def step_latents(batch: Batch, model: MultimodalModel,
 
 
 def fused_logits(cat: Tensor, model: MultimodalModel, leaves: dict[str, Tensor]) -> Tensor:
-    """Fusion-layer logits of the stacked concatenated latents, averaged over
+    """Fusion-layer logits of the concatenated per-step latents, averaged over
     the steps; reads only the fusion leaves."""
-    steps = model.cfg.steps
-    return T.step_mean(T.linear(cat, leaves["fusion.W"], leaves["fusion.b"], steps), steps)
+    return T.step_mean(T.linear(cat, leaves["fusion.W"], leaves["fusion.b"]))
 
 
 def probe_logits(z: Tensor, name: str, model: MultimodalModel,
                  leaves: dict[str, Tensor]) -> Tensor:
-    """One probe head's logits of the stacked latents, averaged over the steps.
+    """One probe head's logits of the per-step latents, averaged over the steps.
 
     In probe_detached mode the head reads detached latents, so its loss stops
     at the encoder output.
     """
-    steps = model.cfg.steps
     if model.cfg.head_mode == "probe_detached":
         z = T.detach(z)
-    return T.step_mean(T.linear(z, leaves[f"{name}.W"], leaves[f"{name}.b"], steps), steps)
+    return T.step_mean(T.linear(z, leaves[f"{name}.W"], leaves[f"{name}.b"]))
 
 
 def network_logits(batch: Batch, model: MultimodalModel, tape: Tape | None = None):

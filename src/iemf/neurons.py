@@ -8,8 +8,8 @@ A LIF step runs accumulation, spike firing, and hard reset in that order:
 
 A layer runs all T steps from a zero membrane as one tape node (the
 multi-step mode of SpikingJelly, Fang et al. 2023): `lif_layer` takes one
-shared (B, N) drive or the stacked (T*B, N) per-step currents and returns the
-stacked (T*B, N) spike train, step t in rows t*B to (t+1)*B. The node keeps
+shared (B, N) drive or the (T, B, N) per-step currents, time on the leading
+axis, and returns the (T, B, N) spike train. The node keeps
 the forward's u_pre - u_th trace, so its backward, explicit backpropagation
 through time over the membrane, does not run the dynamics again. The
 Heaviside uses a piecewise-linear hat of configurable half-width centred on
@@ -58,62 +58,45 @@ def _hat(x: np.ndarray, width: float) -> np.ndarray:
     return np.maximum(0.0, 1.0 - np.abs(x) / width)
 
 
-def lif_scan(current: np.ndarray, p: LIFParams, steps: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """The LIF dynamics from a zero membrane: the stacked (T*B, N) spikes and
-    u_pre - u_th. `current` is one (B, N) drive shared by every step (`steps`
-    1) or the stacked per-step currents (`steps` T)."""
-    tau, shift = p.tau, -p.u_th
-    rows = current.shape[0] // steps
-    spikes = np.empty((rows * p.t_steps, current.shape[1]))
+def lif_scan(current: np.ndarray, p: LIFParams) -> tuple[np.ndarray, np.ndarray]:
+    """The LIF dynamics from a zero membrane: the (T, B, N) spikes and
+    u_pre - u_th. `current` is one (B, N) drive shared by every step or the
+    (T, B, N) per-step currents."""
+    tau, shift, shared = p.tau, -p.u_th, current.ndim == 2
+    spikes = np.empty((p.t_steps,) + current.shape[-2:])
     shifted = np.empty_like(spikes)
-    u = np.zeros_like(current[:rows])
+    u = np.zeros(current.shape[-2:])
     for t in range(p.t_steps):
-        blk = slice(t * rows, (t + 1) * rows)
-        u = u * tau + (current if steps == 1 else current[blk])
-        fired = np.add(u, shift, out=shifted[blk]) >= 0.0
-        spikes[blk] = fired
+        u = u * tau + (current if shared else current[t])
+        fired = np.add(u, shift, out=shifted[t]) >= 0.0
+        spikes[t] = fired
         u *= ~fired  # the hard reset u_pre * (1 - spike): a fired u_pre >= u_th > 0 becomes +0.0
     return spikes, shifted
 
 
-def _lif_forward(ins, aux):
-    """The stacked spike train, and the stacked u_pre - u_th the backward reads."""
-    p, steps = aux
-    spikes, shifted = lif_scan(ins[0], p, steps)
+def _lif_forward(ins, p):
+    """The spike train, and the u_pre - u_th the backward reads."""
+    spikes, shifted = lif_scan(ins[0], p)
     # with finite currents, the first non-finite membrane shows in its u_pre - u_th
     if not np.isfinite(shifted).all():
         raise NumericError("non-finite values produced by lif_layer")
     return spikes, shifted
 
 
-def _lif_backward(g, out, ins, aux, needs, shifted):
+def _lif_backward(g, out, ins, p, needs, shifted):
     """BPTT over the membrane with the reset held constant.
 
     The membrane adjoint of step t is a_u * (1 - spike_t) + g_t * hat, and
     a_u = tau times that for step t - 1. A shared drive sums the per-step
     gradients from the last step down, as a tape of single steps would.
     """
-    p, steps = aux
-    rows = out.shape[0] // p.t_steps
-    tau = p.tau
     g_hat = g * _hat(shifted, p.surrogate_width)
     keep = out * -1.0 + 1.0
     grads = np.empty_like(g)
-    a_u = None
-    for t in range(p.t_steps - 1, -1, -1):
-        blk = slice(t * rows, (t + 1) * rows)
-        if a_u is None:
-            grads[blk] = g_hat[blk]
-        else:
-            np.add(a_u * keep[blk], g_hat[blk], out=grads[blk])
-        if t > 0:
-            a_u = grads[blk] * tau
-    if steps > 1:
-        return [grads]
-    drive = grads[-rows:]
+    grads[-1] = g_hat[-1]
     for t in range(p.t_steps - 2, -1, -1):
-        drive = drive + grads[t * rows:(t + 1) * rows]
-    return [drive]
+        np.add(grads[t + 1] * p.tau * keep[t], g_hat[t], out=grads[t])
+    return [grads if ins[0].ndim == 3 else T._sum_steps(grads, last_first=True)]
 
 
 register_op(
@@ -132,15 +115,15 @@ def relu(x: Tensor) -> Tensor:
     return T._apply("relu", (T.as_tensor(x),))
 
 
-def lif_layer(current: Tensor, p: LIFParams, steps: int = 1) -> Tensor:
+def lif_layer(current: Tensor, p: LIFParams) -> Tensor:
     """All `p.t_steps` steps of one LIF layer from a zero membrane, as one node.
 
-    `current` is either one (B, N) drive injected at every step (`steps` 1)
-    or the stacked (T*B, N) per-step currents (`steps` equal to
-    `p.t_steps`), step t in rows t*B to (t+1)*B. Returns the stacked
-    (T*B, N) spike train in the same layout.
+    `current` is either one (B, N) drive injected at every step or the
+    (T, B, N) per-step currents, T equal to `p.t_steps`. Returns the
+    (T, B, N) spike train.
     """
     current = T.as_tensor(current)
-    if steps not in (1, p.t_steps):
-        raise ShapeError(f"need 1 or {p.t_steps} stacked input steps, got {steps}")
-    return T._apply("lif_layer", (current,), (p, T._check_steps(current, steps, "lif_layer")))
+    if current.data.ndim not in (2, 3) or current.shape[:-2] not in ((), (p.t_steps,)):
+        raise ShapeError(
+            f"lif_layer needs a (B, N) drive or ({p.t_steps}, B, N) currents, got {current.shape}")
+    return T._apply("lif_layer", (current,), p)

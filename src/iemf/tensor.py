@@ -37,10 +37,12 @@ next op lifts as such a leaf.
 Shape rules are deliberately narrow: the only broadcast is the bias-row add
 in the fused affine map `linear`.
 
-A T-step spiking layer runs its steps as one node over the stacked (T*B, N)
-rows, step t in rows t*B to (t+1)*B (the multi-step mode of SpikingJelly's
-`SeqToANNContainer`): `linear` and `step_mean` take that step count, and
-their results equal the per-step composition bit for bit.
+A T-step spiking layer runs its steps as one node over a (T, B, N) array,
+time on the leading axis (the multi-step mode of SpikingJelly's
+`SeqToANNContainer`): `linear` takes (B, K) or (T, B, K) rows, `step_mean`
+averages the leading axis, and their results equal the per-step composition
+bit for bit. Sums across steps run one step at a time (`_sum_steps`), in the
+order a tape of single steps would add them.
 
 Every op kind also registers a FLOPs rule over its node's shapes; `Tape.flops`
 sums the rules over the ops a pass recorded (see `training.forward_flops`).
@@ -245,44 +247,42 @@ def smul(a: Tensor, c: float) -> Tensor:
     return _apply("smul", (as_tensor(a),), float(c))
 
 
-def _check_steps(a: Tensor, steps: int, where: str) -> int:
-    steps = int(steps)
-    if a.data.ndim != 2 or steps < 1 or a.shape[0] % steps != 0:
-        raise ShapeError(f"{where}: cannot split {a.shape} into {steps} equal row blocks")
-    return steps
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map x W^T + b: (B,K) rows, or (T,B,K) steps of them, through
+    (N,K) weights plus an (N,) bias row.
 
-
-def linear(x: Tensor, w: Tensor, b: Tensor, steps: int = 1) -> Tensor:
-    """Affine map x W^T + b: (B,K) rows through (N,K) weights plus an (N,) bias row.
-
-    `x` stacks `steps` equal row blocks, one per time step. One node whose
-    forward and backward evaluate exactly what the unfused per-block
-    composition, the product x_t W^T and then a row-broadcast bias add, does,
-    so the results are bit-identical: every product runs block by block, and
-    the backward sums the weight and bias gradients from the last block down,
-    in the order the tape would add them.
+    One node whose forward and backward evaluate exactly what the unfused
+    per-step composition, the product x_t W^T and then a row-broadcast bias
+    add, does, so the results are bit-identical: `np.matmul` runs a stacked
+    product as one 2-D product per step, and the backward sums the weight
+    and bias gradients from the last step down, in the order the tape would
+    add them.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1:
-        raise ShapeError(f"linear needs (B,K), (N,K), (N,), got {x.shape}, {w.shape}, {b.shape}")
-    if x.shape[1] != w.shape[1] or w.shape[0] != b.shape[0]:
+    if x.data.ndim not in (2, 3) or w.data.ndim != 2 or b.data.ndim != 1:
+        raise ShapeError(
+            f"linear needs (B,K) or (T,B,K), (N,K), (N,), got {x.shape}, {w.shape}, {b.shape}")
+    if x.shape[-1] != w.shape[1] or w.shape[0] != b.shape[0]:
         raise ShapeError(f"linear shapes disagree: {x.shape} x {w.shape}^T + {b.shape}")
-    return _apply("linear", (x, w, b), _check_steps(x, steps, "linear"))
+    return _apply("linear", (x, w, b))
 
 
-def step_mean(a: Tensor, steps: int) -> Tensor:
-    """Mean of the `steps` equal row blocks of `a`, added in step order then
-    scaled by 1/steps; one block is returned as it is, without a tape node."""
+def step_mean(a: Tensor) -> Tensor:
+    """Mean over the leading (step) axis of a (T,B,N) tensor, the steps added
+    in step order then scaled by 1/T; a (B,N) tensor is one step and is
+    returned as it is, without a tape node."""
     a = as_tensor(a)
-    steps = _check_steps(a, steps, "step_mean")
-    return a if steps == 1 else _apply("step_mean", (a,), steps)
+    if a.data.ndim not in (2, 3):
+        raise ShapeError(f"step_mean needs (B,N) or (T,B,N), got {a.shape}")
+    return a if a.data.ndim == 2 else _apply("step_mean", (a,))
 
 
 def concat_cols(a: Tensor, b: Tensor) -> Tensor:
+    """Join along the last axis; every leading axis must match."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ShapeError(f"concat_cols needs matching row counts, got {a.shape} and {b.shape}")
-    return _apply("concat_cols", (a, b), a.shape[1])
+    if a.data.ndim < 2 or a.shape[:-1] != b.shape[:-1]:
+        raise ShapeError(f"concat_cols needs matching leading shapes, got {a.shape} and {b.shape}")
+    return _apply("concat_cols", (a, b), a.shape[-1])
 
 
 def select_cols(a: Tensor, cols: Sequence[int]) -> Tensor:
@@ -400,51 +400,42 @@ def _fwd_distill_kl(ins, temperature):
 # backward rules
 
 
-def _linear_values(ins, steps):
+def _sum_steps(stack: Array, last_first: bool = False) -> Array:
+    """The leading-axis slices of `stack` added one at a time, in step order
+    or from the last step down. `stack.sum(axis=0)` would not do: over 8 or
+    more one-element steps numpy sums pairwise, and the bits move."""
+    steps = stack[::-1] if last_first else stack
+    total = steps[0]
+    for step in steps[1:]:
+        total = total + step
+    return total
+
+
+def _linear_values(ins, aux):
     x, w, b = ins
-    wt = np.ascontiguousarray(w.T)
-    # one (T*B)-row product is not bit-identical to the per-block ones at
-    # every shape (one-row blocks, one- or two-column outputs)
-    rows = x.shape[0] // steps
-    out = np.empty((x.shape[0], w.shape[0]))
-    for t in range(steps):
-        np.matmul(x[t * rows:(t + 1) * rows], wt, out=out[t * rows:(t + 1) * rows])
+    out = np.matmul(x, np.ascontiguousarray(w.T))
     out += b
     return out
 
 
-def _bwd_linear(g, out, ins, steps, needs):
+def _bwd_linear(g, out, ins, aux, needs):
     x, w, _ = ins
-    rows = x.shape[0] // steps
-    gx = gw = gb = None
-    if needs[0]:
-        wt = np.ascontiguousarray(w.T)
-        gx = np.empty_like(x)
-    for t in range(steps - 1, -1, -1):
-        blk = slice(t * rows, (t + 1) * rows)
-        g_t = g[blk]
-        if gx is not None:
-            np.matmul(g_t, wt.T, out=gx[blk])
-        gw_t, gb_t = x[blk].T @ g_t, g_t.sum(axis=0)
-        gw, gb = (gw_t, gb_t) if gw is None else (gw + gw_t, gb + gb_t)
+    # through the copy's transposed view, not `w`: that picks another BLAS call, and other bits
+    gx = np.matmul(g, np.ascontiguousarray(w.T).T) if needs[0] else None
+    gw, gb = np.swapaxes(x, -1, -2) @ g, g.sum(axis=-2)
+    if g.ndim == 3:
+        gw, gb = _sum_steps(gw, last_first=True), _sum_steps(gb, last_first=True)
     return [gx, np.ascontiguousarray(gw.T), gb]
 
 
-def _step_mean_values(x: Array, steps: int) -> Array:
-    rows = x.shape[0] // steps
-    acc = x[:rows] + x[rows:2 * rows]
-    for t in range(2, steps):
-        acc = acc + x[t * rows:(t + 1) * rows]
-    return acc * (1.0 / steps)
-
-
-def _bwd_step_mean(g, out, ins, steps, needs):
-    return [np.tile(g * (1.0 / steps), (steps, 1))]
+def _bwd_step_mean(g, out, ins, aux, needs):
+    steps = ins[0].shape[0]
+    return [np.tile(g * (1.0 / steps), (steps, 1, 1))]
 
 
 def _bwd_concat_cols(g, out, ins, aux, needs):
     split = aux
-    return [np.ascontiguousarray(g[:, :split]), np.ascontiguousarray(g[:, split:])]
+    return [np.ascontiguousarray(g[..., :split]), np.ascontiguousarray(g[..., split:])]
 
 
 def _bwd_select_cols(g, out, ins, aux, needs):
@@ -473,10 +464,10 @@ register_op("smul", lambda ins, aux: ins[0] * aux, lambda g, out, ins, aux, need
             lambda out, ins, aux: out.size)
 # a multiply and an add per inner-product term, plus the bias add
 register_op("linear", _linear_values, _bwd_linear,
-            lambda out, ins, aux: out.size * (2 * ins[0].shape[1] + 1))
-register_op("step_mean", lambda ins, aux: _step_mean_values(ins[0], aux), _bwd_step_mean,
-            lambda out, ins, aux: ins[0].size)
-register_op("concat_cols", lambda ins, aux: np.concatenate([ins[0], ins[1]], axis=1),
+            lambda out, ins, aux: out.size * (2 * ins[0].shape[-1] + 1))
+register_op("step_mean", lambda ins, aux: _sum_steps(ins[0]) * (1.0 / ins[0].shape[0]),
+            _bwd_step_mean, lambda out, ins, aux: ins[0].size)
+register_op("concat_cols", lambda ins, aux: np.concatenate([ins[0], ins[1]], axis=-1),
             _bwd_concat_cols, lambda out, ins, aux: 0)
 register_op("select_cols", lambda ins, aux: np.ascontiguousarray(ins[0][:, list(aux)]),
             _bwd_select_cols, lambda out, ins, aux: 0)

@@ -1,13 +1,15 @@
-"""Mutation check: one-line edits of `src/iemf` and whether tier-1 kills them.
+"""Mutation check: small edits of `src/iemf` and whether tier-1 kills them.
 
 Run as `python tests/mutants.py` for every row of `MUTANTS`, or with row
 numbers (`python tests/mutants.py 0 4`). For each row it copies `src/`, with
 the tests, configs and bench files they read, into a temporary directory,
 applies the edit there, runs tier-1 on the copy with `-x`, and prints killed
-or survived with the first failing test. It exits 1 if a row's outcome differs
-from its expectation: `killed`, or `equivalent: <reason>` for an edit that
-cannot change what the package computes. A survivor is mended by a test that
-kills it, by deleting the code it lives in, or by an `equivalent` row.
+or survived with the first failing test. A row that names a test file runs
+that file alone, so it asserts that this file kills the edit. It exits 1 if a
+row's outcome differs from its expectation: `killed`, or
+`equivalent: <reason>` for an edit that cannot change what the package
+computes. A survivor is mended by a test that kills it, by deleting the code
+it lives in, or by an `equivalent` row.
 
 Pytest does not collect this file; `tests/test_shipped_code.py` checks that
 each row's original text occurs exactly once in its file. A killed mutant
@@ -26,7 +28,7 @@ COPIED = ("src", "tests", "configs", "bench", "pyproject.toml")
 # checks this table against the unmutated sources, so it fails on every copy
 TABLE_TEST = "tests/test_shipped_code.py::test_each_mutant_row_edits_text_that_occurs_once"
 
-# (file under src/iemf, original text, replacement, expectation)
+# (file under src/iemf, original text, replacement, expectation[, test path])
 MUTANTS = [
     ("analysis.py", "if gn < 1e-18:", "if gn < 1e-3:", "killed"),
     ("cli.py", "omega = flops / epoch", "omega = flops", "killed"),
@@ -55,12 +57,17 @@ MUTANTS = [
      "killed"),
     ("container.py", "expected.get(pid) != tuple(entries[pid].shape))",
      "expected.get(pid) != entries[pid].decode(payload).shape)", "killed"),
+    ("tensor.py",
+     "    total = steps[0]\n    for step in steps[1:]:\n        total = total + step\n",
+     "    total = steps.sum(axis=0)\n", "killed", "tests/test_tensor.py"),
+    ("modulation.py", "sgd_step(model, backward(tape, out.loss), cfg, xi)",
+     "sgd_step(model, backward(tape, out.loss), cfg, 1.0)", "killed", "tests/test_acceptance.py"),
 ]
 
 
 def run(row: int, work: Path) -> tuple[bool, str]:
     """(killed, first failing test) of one row, tested on a fresh copy under `work`."""
-    name, original, replacement, _ = MUTANTS[row]
+    name, original, replacement, _, *tests = MUTANTS[row]
     copy = work / f"row{row}"
     for item in COPIED:
         src = ROOT / item
@@ -75,7 +82,8 @@ def run(row: int, work: Path) -> tuple[bool, str]:
     path.write_text(text.replace(original, replacement))
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-rfE",
-                           "-p", "no:cacheprovider", "--deselect", TABLE_TEST, "tests"],
+                           "-p", "no:cacheprovider", "--deselect", TABLE_TEST,
+                           *(tests or ["tests"])],
                           cwd=copy, env=env, capture_output=True, text=True)
     failed = [line.split(" - ")[0] for line in done.stdout.splitlines()
               if line.startswith(("FAILED ", "ERROR "))]
@@ -87,7 +95,7 @@ def main(argv: list[str]) -> int:
     unexpected = 0
     with tempfile.TemporaryDirectory() as work:
         for row in rows:
-            name, original, replacement, expected = MUTANTS[row]
+            name, original, replacement, expected, *_ = MUTANTS[row]
             killed, first = run(row, Path(work))
             unexpected += killed != (expected == "killed")
             print(f"{row:2d} {name}: {original!r} -> {replacement!r}: "

@@ -1,6 +1,7 @@
-"""Tape ops, a replay check, the hand-written FLOPs count of the network,
-gradients named by parameter leaf, the dense finite-difference Hessian and
-the per-parameter SGD update: references that only the tests use.
+"""Tape ops, a replay check, the per-step compositions of the stacked step
+ops, the hand-written FLOPs count of the network, gradients named by
+parameter leaf, the dense finite-difference Hessian and the per-parameter SGD
+update: references that only the tests use.
 
 No program path records `matmul`, `transpose`, `add_bias`, `mul` or
 `sum_all`: the model runs every affine map through the fused `linear`, the
@@ -18,6 +19,7 @@ import iemf.tensor as T
 from iemf.analysis import model_objective
 from iemf.errors import ContractError, NumericError, ShapeError
 from iemf.model import ModelConfig, MultimodalModel
+from iemf.neurons import LIFParams, lif_layer
 from iemf.tensor import Tape, Tensor, register_op
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -113,6 +115,39 @@ def replay_forward(tape: Tape) -> bool:
     return ok
 
 
+def per_step_linear_and_mean(x0: np.ndarray, w0: np.ndarray, b0: np.ndarray,
+                             weights: np.ndarray) -> tuple:
+    """`linear` over (T, B, K) steps and the `step_mean` of its output, as a
+    tape of single steps records them: one leaf and one (B, K) `linear` per
+    step, an add chain in step order, then a 1/T scale. The tape adds the
+    weight and bias gradients from the last step down. Returns (out, mean,
+    gx, gw, gb) for the seed sum(mean * weights)."""
+    steps, tape = x0.shape[0], Tape()
+    w, b = tape.leaf(w0, param_id="w"), tape.leaf(b0, param_id="b")
+    outs = [T.linear(tape.leaf(x_t, param_id=f"x{t}"), w, b) for t, x_t in enumerate(x0)]
+    mean = outs[0]
+    for out in outs[1:]:
+        mean = T.add(mean, out)
+    mean = T.smul(mean, 1.0 / steps)
+    grads = named_grads(tape, sum_all(mul(mean, Tensor(weights))))
+    gx = np.stack([grads[f"x{t}"] for t in range(steps)])
+    return np.stack([out.data for out in outs]), mean.data, gx, grads["w"], grads["b"]
+
+
+def shared_drive_grad(drive0: np.ndarray, weights: np.ndarray, p: LIFParams) -> np.ndarray:
+    """d sum(lif_layer(drive) * weights) / d drive for one (B, N) drive shared
+    by every step, as a tape that fed the drive to each step would add it:
+    the per-step currents' gradients of the same layer, from the last step
+    down."""
+    tape = Tape()
+    currents = tape.leaf(np.stack([drive0] * p.t_steps), param_id="currents")
+    per_step = named_grads(tape, sum_all(mul(lif_layer(currents, p), Tensor(weights))))
+    total = per_step["currents"][-1]
+    for t in range(p.t_steps - 2, -1, -1):
+        total = total + per_step["currents"][t]
+    return total
+
+
 def hand_forward_flops(cfg: ModelConfig, batch: int) -> int:
     """The network's forward FLOPs counted by hand from its configuration,
     layer by layer, over the rows each layer runs; the package counts them
@@ -125,7 +160,8 @@ def hand_forward_flops(cfg: ModelConfig, batch: int) -> int:
         return 2 * rows * fan_in * fan_out + rows * fan_out
 
     spiking = cfg.neuron_mode == "spiking"
-    rows = cfg.steps * batch  # rows past each encoder's first LIF layer
+    # rows past each encoder's first LIF layer, over all time steps
+    rows = (cfg.lif.t_steps if spiking else 1) * batch
     total = 0
     for modality in ("a", "v"):
         widths = cfg.encoder_widths(modality)

@@ -3,6 +3,9 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings. Criteria 5 and 8 share one set of trained model pairs
 (default asymmetric-noise data, 40 epochs, modulation on/off, seeds 0-4).
+The direction criteria 6, 7 and 8 count a tie as a loss, and fail if the two
+arms of any seed end with bit-identical parameters: a coefficient that is
+computed but never applied leaves the arms equal.
 """
 
 import os
@@ -48,6 +51,11 @@ def _report(criterion: str, passed: bool, detail: str, elapsed: float, budget: f
     print(f"ACCEPTANCE {criterion}: {status} ({detail}; {elapsed:.1f}s of {budget:.0f}s budget)")
     assert passed, f"criterion {criterion}: {detail}"
     assert elapsed < budget, f"criterion {criterion} exceeded its runtime budget"
+
+
+def _same_params(a, b) -> bool:
+    """Whether two trained models hold bit-identical parameters."""
+    return a.flat.tobytes() == b.flat.tobytes()
 
 
 def _train_pair(data_kw, seed, epochs, eta):
@@ -177,7 +185,7 @@ def test_criterion_2_gradient_correctness():
     w = tape.leaf(w0, param_id="w")
     b = tape.leaf(b0, param_id="b")
     spikes = lif_layer(T.linear(tape.leaf(x), w, b), p)
-    grads = R.named_grads(tape, R.sum_all(R.mul(spikes, Tensor(np.tile(c, (3 * p.t_steps, 1))))))
+    grads = R.named_grads(tape, R.sum_all(R.mul(spikes, Tensor(np.tile(c, (p.t_steps, 3, 1))))))
     ref_dw, ref_db = _hand_unrolled_bptt(w0, b0, x, c, p, p.t_steps)
     snn_err = max(float(np.max(np.abs(grads["w"] - ref_dw))),
                   float(np.max(np.abs(grads["b"] - ref_db))))
@@ -282,36 +290,39 @@ def test_criterion_5_xi_dynamics(default_pairs):
 
 def test_criterion_6_benefit_direction():
     t0 = time.monotonic()
-    on, off = [], []
+    on, off, same = [], [], 0
     for seed in SEEDS:
         pair, _ = _train_pair(BENEFIT_DATA, seed, BENEFIT_EPOCHS, BENEFIT_ETA)
         on.append(pair[True][1][-1].test_acc)
         off.append(pair[False][1][-1].test_acc)
-    wins = sum(1 for a, b in zip(on, off) if a >= b)
+        same += _same_params(pair[True][0], pair[False][0])
+    wins = sum(1 for a, b in zip(on, off) if a > b)
     mean_on, mean_off = float(np.mean(on)), float(np.mean(off))
-    _report("6 (accuracy benefit)", mean_on >= mean_off and wins >= 4,
+    _report("6 (accuracy benefit)", mean_on > mean_off and wins >= 4 and same == 0,
             f"mean {mean_on:.4f} vs {mean_off:.4f}, paired wins {wins}/5",
             time.monotonic() - t0, 300.0)
 
 
 def test_criterion_7_continual_direction():
     t0 = time.monotonic()
-    outcomes = {}
+    outcomes, same = {}, 0
     for method in ("finetune", "lwf"):
         wins = 0
         for seed in SEEDS:
             ds = generate(DataSpec(seed=seed, **BENEFIT_DATA))
             stream = build_task_stream(ds, 3, 2, seed)
-            aias = {}
+            aias, models = {}, {}
             for enabled in (True, False):
                 model = init_model(ModelConfig(d_in_a=32, d_in_v=32, n_classes=6), seed)
                 cfg = OptimConfig(eta=5e-3, epochs=8, batch_size=32, seed=seed,
                                   iemf=IEMFConfig(enabled=enabled))
                 matrix, _ = train_incremental(stream, method, model, cfg)
                 _, aias[enabled] = aa_aia(matrix)
-            wins += aias[True] >= aias[False]
+                models[enabled] = model  # trained in place
+            wins += aias[True] > aias[False]
+            same += _same_params(models[True], models[False])
         outcomes[method] = wins
-    passed = all(w >= 3 for w in outcomes.values())
+    passed = all(w >= 3 for w in outcomes.values()) and same == 0
     _report("7 (continual direction)", passed,
             f"AIA wins finetune {outcomes['finetune']}/5, lwf {outcomes['lwf']}/5",
             time.monotonic() - t0, 300.0)
@@ -320,7 +331,7 @@ def test_criterion_7_continual_direction():
 def test_criterion_8_sharpness_direction(default_pairs):
     pairs, fixture_time = default_pairs
     t0 = time.monotonic()
-    wins = 0
+    wins = same = 0
     details = []
     for seed in SEEDS:
         pair, _ = pairs[seed]
@@ -330,9 +341,10 @@ def test_criterion_8_sharpness_direction(default_pairs):
             report = sharpness(model, ds, ball_radius=0.25, n_probes=6, ascent_steps=15,
                                seed=seed)
             estimates[enabled] = report.increase
-        wins += estimates[True] <= estimates[False]
-        details.append(f"{estimates[True]:.4f}<={estimates[False]:.4f}")
-    _report("8 (flatter optimum)", wins >= 3,
+        wins += estimates[True] < estimates[False]
+        same += _same_params(pair[True][0], pair[False][0])
+        details.append(f"{estimates[True]:.4f}<{estimates[False]:.4f}")
+    _report("8 (flatter optimum)", wins >= 3 and same == 0,
             f"{wins}/5 seeds flatter with modulation ({', '.join(details)})",
             time.monotonic() - t0 + fixture_time, 180.0)
 

@@ -49,9 +49,7 @@ def fixed_batch() -> Batch:
 
 def latents(batch: Batch, model: MultimodalModel):
     """The two step-averaged encoder latents (firing rates in spiking mode)."""
-    steps = model.cfg.steps
-    return tuple(T.step_mean(z, steps)
-                 for z in step_latents(batch, model, bind_params(model, None)))
+    return tuple(T.step_mean(z) for z in step_latents(batch, model, bind_params(model, None)))
 
 
 def fused(z_a: Tensor, z_v: Tensor, model: MultimodalModel) -> Tensor:
@@ -305,7 +303,7 @@ def test_tape_nodes_per_step_at_shipped_config_shapes(name, nodes):
     3 `softmax_xent` and 3 nodes combining the losses. Spiking (T=4, depth 2)
     swaps the 2 `relu`s for 4 `lif_layer` and adds one `step_mean` per logit
     set: every layer, the fusion layer and the heads run their T steps as one
-    node over the stacked rows.
+    node over a (T, B, N) array.
     """
     cfg = load_config(str(CONFIGS / f"{name}.json"))
     model = init_model(cfg.model, cfg.seed)

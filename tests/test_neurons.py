@@ -52,23 +52,21 @@ def test_lif_params_validation():
 
 
 def _stack(currents):
-    """One shared drive as it is, or the per-step currents stacked by rows."""
+    """One shared drive as it is, or the per-step currents on a leading step axis."""
     if len(currents) == 1:
-        return currents[0], 1
-    return Tensor(np.concatenate([c.data for c in currents])), len(currents)
+        return currents[0]
+    return Tensor(np.stack([c.data for c in currents]))
 
 
 def _spikes(currents, p):
     """Per-step spikes of one layer run as the multi-step op."""
-    current, steps = _stack(currents)
-    return np.split(lif_layer(current, p, steps).data, p.t_steps)
+    return list(lif_layer(_stack(currents), p).data)
 
 
 def _membranes(currents, p):
     """Per-step membranes after reset, from the op's own dynamics."""
-    current, steps = _stack(currents)
-    spikes, shifted = lif_scan(current.data, p, steps)
-    return np.split((shifted + p.u_th) * (1.0 - spikes), p.t_steps)
+    spikes, shifted = lif_scan(_stack(currents).data, p)
+    return list((shifted + p.u_th) * (1.0 - spikes))
 
 
 def _simulated(currents, p):
@@ -80,7 +78,7 @@ def _simulated(currents, p):
         spikes.append(fired.astype(float))
         shifted.append(u_pre - p.u_th)
         u = np.where(fired, 0.0, u_pre)
-    return np.concatenate(spikes), np.concatenate(shifted)
+    return np.stack(spikes), np.stack(shifted)
 
 
 def test_lif_zero_input_stays_silent():
@@ -124,8 +122,7 @@ def test_lif_scan_matches_plain_simulation(per_step):
     for shape in [(6, 4)] if per_step else [(6, 4), (300, 64)]:
         currents = [Tensor(rng.standard_normal(shape))
                     for _ in range(p.t_steps if per_step else 1)]
-        current, steps = _stack(currents)
-        spikes, shifted = lif_scan(current.data, p, steps)
+        spikes, shifted = lif_scan(_stack(currents).data, p)
         ref_spikes, ref_shifted = _simulated(currents, p)
         assert ref_spikes.any() and not ref_spikes.all()
         for got, want in ((spikes, ref_spikes), (shifted, ref_shifted)):
@@ -158,13 +155,13 @@ def test_surrogate_derivative_hat():
 
 
 def test_lif_shape_mismatch():
+    """A (B, N) drive or (t_steps, B, N) currents, nothing else."""
     p = LIFParams(t_steps=2)
-    with pytest.raises(ShapeError):
-        lif_layer(Tensor(np.zeros((3, 3))), p, 2)
-    with pytest.raises(ShapeError):
-        lif_layer(Tensor(np.zeros((3, 3))), p, 3)
-    with pytest.raises(ShapeError):
-        lif_layer(Tensor(np.zeros(3)), p)
+    assert lif_layer(Tensor(np.zeros((3, 4))), p).shape == (2, 3, 4)
+    assert lif_layer(Tensor(np.zeros((2, 3, 4))), p).shape == (2, 3, 4)
+    for shape in [(3,), (1, 3, 4), (3, 3, 4), (2, 2, 3, 4)]:
+        with pytest.raises(ShapeError, match=r"\(2, B, N\) currents"):
+            lif_layer(Tensor(np.zeros(shape)), p)
 
 
 def test_subthreshold_map_is_linear_and_matches_finite_differences():
@@ -241,7 +238,7 @@ def test_bptt_matches_hand_unrolled_oracle():
     w = tape.leaf(w0, param_id="w")
     b = tape.leaf(b0, param_id="b")
     spikes = lif_layer(T.linear(tape.leaf(x), w, b), p)
-    loss = R.sum_all(R.mul(spikes, Tensor(np.tile(c, (3 * p.t_steps, 1)))))
+    loss = R.sum_all(R.mul(spikes, Tensor(np.tile(c, (p.t_steps, 3, 1)))))
     grads = R.named_grads(tape, loss)
 
     ref_loss, ref_dw, ref_db = _hand_unrolled_bptt(w0, b0, x, c, p, p.t_steps)
@@ -252,7 +249,7 @@ def test_bptt_matches_hand_unrolled_oracle():
 
 
 def test_bptt_per_step_currents_matches_hand_unrolled_oracle():
-    """One input row block per step: each step's current gets its own adjoint."""
+    """One input per step: each step's current gets its own adjoint."""
     p = LIFParams(u_th=0.5, tau_m=2.0, t_steps=3, surrogate_width=1.0)
     rng = np.random.default_rng(8)
     w0 = rng.standard_normal((4, 3))
@@ -264,9 +261,9 @@ def test_bptt_per_step_currents_matches_hand_unrolled_oracle():
     w = tape.leaf(w0, param_id="w")
     b = tape.leaf(b0, param_id="b")
     weights = [0.5 * np.ones(4), c, 2 * c]
-    currents = T.linear(tape.leaf(np.concatenate(xs)), w, b, p.t_steps)
-    spikes = lif_layer(currents, p, p.t_steps)
-    loss = R.sum_all(R.mul(spikes, Tensor(np.repeat(np.array(weights), 5, axis=0))))
+    currents = T.linear(tape.leaf(np.stack(xs)), w, b)
+    spikes = lif_layer(currents, p)
+    loss = R.sum_all(R.mul(spikes, Tensor(np.repeat(np.array(weights)[:, None], 5, axis=1))))
     grads = R.named_grads(tape, loss)
 
     u = np.zeros((5, 4))

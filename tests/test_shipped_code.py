@@ -151,10 +151,12 @@ def test_an_unread_public_name_is_found():
 
 def test_each_mutant_row_edits_text_that_occurs_once():
     """`tests/mutants.py` rows stay applicable: each names text found exactly
-    once in its file, and an outcome it can check."""
-    from mutants import MUTANTS
+    once in its file, an outcome it can check, and at most one test file,
+    which exists."""
+    from mutants import MUTANTS, ROOT
 
-    for name, original, replacement, expected in MUTANTS:
+    for name, original, replacement, expected, *tests in MUTANTS:
         assert (SRC / name).read_text(encoding="utf-8").count(original) == 1, (name, original)
         assert replacement != original, (name, original)
         assert expected == "killed" or expected.startswith("equivalent: "), (name, expected)
+        assert len(tests) <= 1 and all((ROOT / path).is_file() for path in tests), (name, tests)

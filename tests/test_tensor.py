@@ -185,22 +185,24 @@ def test_gradients_match_finite_differences_on_random_nets():
 def test_kernel_gradients_finite_difference_sweep():
     """Every differentiable kernel in one composed graph against central differences.
 
-    `lin` stacks three one-row steps, so the stacked `linear`, `step_mean`
-    and both `lif_layer` input forms run their per-block paths. The LIF
-    layers run where every membrane sits outside the surrogate's support, so
-    their spikes are locally constant and their surrogate gradient is exactly
-    zero, which is what central differences see.
+    `lin` holds three one-row steps on its leading axis, so `concat_cols`,
+    `linear` and `step_mean` run on a step axis, and `lif_layer` runs on both
+    input forms: per-step currents and a shared (B, N) drive. The LIF layers
+    run where every membrane sits outside the surrogate's support, so their
+    spikes are locally constant and their surrogate gradient is exactly zero,
+    which is what central differences see.
     """
     rng = np.random.default_rng(11)
     vals0 = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((3, 4)),
              "bias": rng.standard_normal(4), "w": rng.standard_normal((2, 4)),
-             "c": rng.standard_normal(2)}
+             "c": rng.standard_normal(2), "s": -2.0 * rng.standard_normal((3, 1, 2))}
     old = rng.standard_normal((3, 2))
     lif = LIFParams(u_th=3.3, t_steps=3, surrogate_width=1e-3)
 
     def build(vals):
         tape = Tape()
-        a, b, bias, w, c = (tape.leaf(vals[k], param_id=k) for k in ("a", "b", "bias", "w", "c"))
+        a, b, bias, w, c, s = (tape.leaf(vals[k], param_id=k)
+                               for k in ("a", "b", "bias", "w", "c", "s"))
         m = R.add_bias(R.mul(T.add(a, b), T.add(a, T.smul(b, -1.0))), bias)
         m = R.add_bias(T.smul(m, 0.7), Tensor(np.full(4, 0.3)))
         cat = T.concat_cols(m, R.transpose(R.transpose(m)))
@@ -208,21 +210,22 @@ def test_kernel_gradients_finite_difference_sweep():
         kl = T.distill_kl(T.select_cols(cat, [0, 2]), Tensor(old), 2.0)
         loss = T.add(R.sum_all(R.mul(sel, sel)), kl)
         loss = T.add(loss, softmax_cross_entropy(sel, [0, 3, 2])[0])
-        lin = T.linear(m, w, c, 3)
-        per_step = lif_layer(lin, lif, 3)
-        shared = T.step_mean(lif_layer(lin, lif), lif.t_steps)
-        mean = T.step_mean(lin, 3)
+        lin = T.linear(T.concat_cols(s, T.smul(s, -1.5)), w, c)
+        drive = T.linear(m, w, c)
+        per_step = lif_layer(lin, lif)
+        shared = T.step_mean(lif_layer(drive, lif))
+        mean = T.step_mean(lin)
         loss = T.add(loss, R.sum_all(R.mul(mean, T.smul(mean, -0.5))))
         loss = T.add(loss, R.sum_all(R.mul(per_step, lin)))
-        loss = T.add(loss, R.sum_all(R.mul(shared, T.smul(lin, 1.5))))
-        return tape, loss, lin
+        loss = T.add(loss, R.sum_all(R.mul(shared, T.smul(drive, 1.5))))
+        return tape, loss, (lin, drive)
 
-    tape, loss, lin = build(vals0)
+    tape, loss, currents = build(vals0)
     grads = R.named_grads(tape, loss)
     assert R.replay_forward(tape)
-    assert {n.op for n in tape.nodes} >= {"linear", "step_mean", "lif_layer"}
-    for steps in (1, 3):
-        spikes, shifted = lif_scan(lin.data, lif, steps)
+    assert {n.op for n in tape.nodes} >= {"linear", "step_mean", "lif_layer", "concat_cols"}
+    for current in currents:
+        spikes, shifted = lif_scan(current.data, lif)
         assert 0.0 < spikes.mean() < 1.0
         assert np.abs(shifted).min() > 10 * lif.surrogate_width
     for name, val in vals0.items():
@@ -258,57 +261,95 @@ def test_linear_is_bit_identical_to_the_composed_affine_map():
 
 def test_step_mean_blocks_and_gradient():
     tape = Tape()
-    x = tape.leaf(np.arange(12, dtype=float).reshape(6, 2), param_id="x")
-    mean = T.step_mean(x, 3)
+    x = tape.leaf(np.arange(12, dtype=float).reshape(3, 2, 2), param_id="x")
+    mean = T.step_mean(x)
     assert mean.data.tolist() == [[4, 5], [6, 7]]
     grads = R.named_grads(tape, R.sum_all(T.smul(mean, 6.0)))
-    assert np.array_equal(grads["x"], np.full((6, 2), 2.0))
+    assert np.array_equal(grads["x"], np.full((3, 2, 2), 2.0))
+    rows = tape.leaf(np.ones((2, 2)))
     nodes = len(tape)
-    assert T.step_mean(x, 1) is x and len(tape) == nodes  # one step records nothing
-    with pytest.raises(ShapeError):
-        T.step_mean(x, 4)
-    with pytest.raises(ShapeError):
-        T.linear(x, tape.leaf(np.ones((3, 2))), tape.leaf(np.ones(3)), 4)
+    assert T.step_mean(rows) is rows and len(tape) == nodes  # one step records nothing
 
 
-def _per_step_composition(x0, w0, b0, weights, steps):
-    """The stacked pair built the way a tape of single steps records it: one
-    leaf and one `linear` per step, then an add chain and a 1/T scale."""
+def test_step_axis_shape_contracts():
+    """The step axis is read from `ndim`: `linear` takes (B,K) or (T,B,K)
+    rows, `step_mean` (B,N) or (T,B,N), and `concat_cols` needs every leading
+    axis to match (`lif_layer`'s cases are in `test_lif_shape_mismatch`).
+    Anything else is a ShapeError, which the CLI ends with exit 2."""
+    w, b = Tensor(np.ones((3, 2))), Tensor(np.ones(3))
+    assert T.linear(Tensor(np.ones((4, 5, 2))), w, b).shape == (4, 5, 3)
+    for shape in [(2,), (1, 4, 5, 2)]:
+        with pytest.raises(ShapeError, match="linear needs"):
+            T.linear(Tensor(np.ones(shape)), w, b)
+    for shape in [(2,), (1, 1, 2, 2)]:
+        with pytest.raises(ShapeError, match="step_mean needs"):
+            T.step_mean(Tensor(np.ones(shape)))
+    assert T.concat_cols(Tensor(np.ones((4, 5, 2))), Tensor(np.ones((4, 5, 1)))).shape == (4, 5, 3)
+    for left, right in [((4, 5, 2), (3, 5, 2)), ((4, 5, 2), (4, 6, 2)), ((5, 2), (4, 5, 2)),
+                        ((5, 2), (6, 2)), ((2,), (2,))]:
+        with pytest.raises(ShapeError, match="matching leading shapes"):
+            T.concat_cols(Tensor(np.ones(left)), Tensor(np.ones(right)))
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _stacked_linear_and_mean(x0, w0, b0, weights):
+    """`linear` over the (T, B, K) steps and `step_mean` of its output, one
+    node each: (out, mean, gx, gw, gb)."""
     tape = Tape()
-    w, b = tape.leaf(w0, param_id="w"), tape.leaf(b0, param_id="b")
-    blocks = [tape.leaf(x_t, param_id=f"x{t}") for t, x_t in enumerate(np.split(x0, steps))]
-    outs = [T.linear(x_t, w, b) for x_t in blocks]
-    mean = outs[0]
-    if steps > 1:
-        for out in outs[1:]:
-            mean = T.add(mean, out)
-        mean = T.smul(mean, 1.0 / steps)
+    x, w, b = (tape.leaf(v, param_id=name) for name, v in (("x", x0), ("w", w0), ("b", b0)))
+    out = T.linear(x, w, b)
+    mean = T.step_mean(out)
     grads = R.named_grads(tape, R.sum_all(R.mul(mean, Tensor(weights))))
-    gx = np.concatenate([grads[f"x{t}"] for t in range(steps)])
-    return np.concatenate([o.data for o in outs]), mean.data, gx, grads["w"], grads["b"]
+    assert len(tape) == 3 + 1 + 1 + 3  # leaves, linear, step_mean, loss
+    assert R.replay_forward(tape)
+    return out.data, mean.data, grads["x"], grads["w"], grads["b"]
 
 
-@settings(max_examples=60, deadline=None)
-@given(steps=st.integers(1, 4), rows=st.integers(1, 5), k=st.integers(1, 6),
-       n=st.integers(1, 6), spikes=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+@given(steps=st.integers(1, 10), rows=st.sampled_from([1, 2, 3, 7, 8, 9, 64, 129, 130]),
+       k=st.sampled_from([1, 2, 5, 9]), n=st.sampled_from([1, 2, 3, 8]),
+       spikes=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_stacked_linear_and_step_mean_equal_the_per_step_composition(
         steps, rows, k, n, spikes, seed):
+    """The stacked rules against a tape of single steps, bit for bit with
+    signs of zero: up to 10 steps, past numpy's 128-element pairwise block,
+    widths of 1 included. The LIF layer's shared-drive gradient, summed from
+    the last step down, is checked at the same shapes."""
     rng = np.random.default_rng(seed)
-    x0 = rng.standard_normal((steps * rows, k))
+    x0 = rng.standard_normal((steps, rows, k))
     if spikes:
         x0 = np.where(x0 >= 0.0, 1.0, 0.0)
     w0, b0 = rng.standard_normal((n, k)), rng.standard_normal(n)
     weights = rng.standard_normal((rows, n))
+    stacked = _stacked_linear_and_mean(x0, w0, b0, weights)
+    for got, want in zip(stacked, R.per_step_linear_and_mean(x0, w0, b0, weights)):
+        _assert_same_bits(got, want)
+
+    lif = LIFParams(t_steps=steps)
+    drive0, spike_weights = x0[0], rng.standard_normal((steps, rows, k))
     tape = Tape()
-    x, w, b = (tape.leaf(v, param_id=name) for name, v in (("x", x0), ("w", w0), ("b", b0)))
-    out = T.linear(x, w, b, steps)
-    mean = T.step_mean(out, steps)
-    grads = R.named_grads(tape, R.sum_all(R.mul(mean, Tensor(weights))))
-    stacked = (out.data, mean.data, grads["x"], grads["w"], grads["b"])
-    for got, want in zip(stacked, _per_step_composition(x0, w0, b0, weights, steps)):
-        assert got.shape == want.shape and np.array_equal(got, want)
-    assert len(tape) == 3 + 1 + (steps > 1) + 3  # leaves, linear, step_mean, loss
-    assert R.replay_forward(tape)
+    drive = tape.leaf(drive0, param_id="drive")
+    shared = R.named_grads(tape, R.sum_all(R.mul(lif_layer(drive, lif), Tensor(spike_weights))))
+    _assert_same_bits(shared["drive"], R.shared_drive_grad(drive0, spike_weights, lif))
+
+
+def test_step_sums_keep_their_order_where_numpy_sums_pairwise():
+    """Eight 1x1 steps, seven 1.0 and one 1e16: added one at a time, in step
+    order (`step_mean`) or from the last step down (the weight gradient),
+    they give other bits than numpy's pairwise `sum(axis=0)`."""
+    x0 = np.array([1e16] + [1.0] * 7).reshape(8, 1, 1)
+    w0, b0, weights = np.ones((1, 1)), np.zeros(1), np.ones((1, 1))
+    stacked = _stacked_linear_and_mean(x0, w0, b0, weights)
+    reference = R.per_step_linear_and_mean(x0, w0, b0, weights)
+    for got, want in zip(stacked, reference):
+        _assert_same_bits(got, want)
+    _, mean, _, gw, _ = reference
+    assert not np.array_equal(mean, x0.sum(axis=0) * 0.125)
+    assert not np.array_equal(gw, (x0 * 0.125).sum(axis=0))
 
 
 # The three-softmax code the criteria ran before they kept their softmax:
@@ -577,14 +618,16 @@ def test_backward_of_a_seed_without_parameters_calls_no_rule(monkeypatch):
 @pytest.mark.parametrize("steps", [1, 4])
 @pytest.mark.parametrize("rows", [1, 3])
 def test_linear_rule_skips_only_the_unneeded_input_gradient(steps, rows):
+    """(B, K) rows at one step, (T, B, K) at four."""
     rng = np.random.default_rng(steps * 10 + rows)
-    x = rng.standard_normal((steps * rows, 5))
+    lead = (rows,) if steps == 1 else (steps, rows)
+    x = rng.standard_normal(lead + (5,))
     w, b = rng.standard_normal((4, 5)), rng.standard_normal(4)
-    g = rng.standard_normal((steps * rows, 4))
-    out = T._linear_values([x, w, b], steps)
+    g = rng.standard_normal(lead + (4,))
+    out = T._linear_values([x, w, b], None)
     rule = T._OPS["linear"].backward
-    gx, gw, gb = rule(g, out, [x, w, b], steps, [True, True, True])
-    skipped = rule(g, out, [x, w, b], steps, [False, True, True])
+    gx, gw, gb = rule(g, out, [x, w, b], None, [True, True, True])
+    skipped = rule(g, out, [x, w, b], None, [False, True, True])
     assert gx is not None and skipped[0] is None
     assert np.array_equal(skipped[1], gw) and np.array_equal(skipped[2], gb)
 
@@ -620,14 +663,14 @@ def _one_node_of_each_kind():
     tape = Tape()
     x, y = tape.leaf(rng.standard_normal((3, 4))), tape.leaf(rng.standard_normal((3, 4)))
     w, bias = tape.leaf(rng.standard_normal((5, 4))), tape.leaf(rng.standard_normal(5))
-    stacked = tape.leaf(rng.standard_normal((6, 4)))
+    stacked = tape.leaf(rng.standard_normal((2, 3, 4)))
     lif = LIFParams(t_steps=2)
     loss, _ = softmax_cross_entropy(x, [0, 1, 3])
     cases = [
         (T.add(x, y), 12),
         (T.smul(x, 2.0), 12),
-        (T.linear(stacked, w, bias, 2), 2 * 6 * 4 * 5 + 6 * 5),
-        (T.step_mean(stacked, 2), 24),
+        (T.linear(stacked, w, bias), 2 * 6 * 4 * 5 + 6 * 5),
+        (T.step_mean(stacked), 24),
         (T.concat_cols(x, y), 0),
         (T.select_cols(x, [0, 2, 2]), 0),
         (loss, 4 * 3 * 4 + 3 * 3),
